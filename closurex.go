@@ -57,7 +57,8 @@ type Options struct {
 	// mechanism builds: "" or "interp" for the reference interpreter,
 	// "compiled" for the closure-chain compiled tier (pre-resolved direct
 	// threading with superinstruction fusion; bit-identical coverage,
-	// paths, faults and hang verdicts, several times faster).
+	// paths, faults and hang verdicts, 1.30x the interpreter's execs/s as
+	// a geomean over the targets in BENCH_compile.json).
 	Backend string
 	// SentinelCrossBackend makes the divergence sentinel's fresh-process
 	// reference run on the OTHER backend (compiled campaign → interpreter

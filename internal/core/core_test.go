@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,6 +112,35 @@ func TestNewInstanceAcrossMechanisms(t *testing.T) {
 			t.Fatalf("%s: no probes", mech)
 		}
 		inst.Close()
+	}
+}
+
+// TestForkserverDeterministicRandReproducible runs two forkserver
+// campaigns on freetype, whose hinting calls rand(), with one seed: under
+// DeterministicRand every forked child must see the same rand() stream,
+// so the campaigns end with equal bitmaps and queues.
+func TestForkserverDeterministicRandReproducible(t *testing.T) {
+	run := func() ([]byte, [][]byte) {
+		inst, err := NewInstance(targets.Get("freetype"), "forkserver",
+			InstanceOptions{TrialSeed: 5, ImagePagesOverride: -1, DeterministicRand: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		inst.Campaign.RunExecs(10000)
+		var queue [][]byte
+		for _, e := range inst.Campaign.Queue() {
+			queue = append(queue, e.Input)
+		}
+		return inst.Campaign.BitmapSnapshot(), queue
+	}
+	bm1, q1 := run()
+	bm2, q2 := run()
+	if !bytes.Equal(bm1, bm2) {
+		t.Fatal("same-seed forkserver campaigns ended with different bitmaps")
+	}
+	if !slices.EqualFunc(q1, q2, bytes.Equal) {
+		t.Fatalf("same-seed forkserver campaigns ended with different queues (%d vs %d entries)", len(q1), len(q2))
 	}
 }
 

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // MapSize is the AFL-compatible coverage map size.
@@ -38,45 +39,17 @@ type Bitmap struct {
 // NewBitmap returns an empty cumulative bitmap.
 func NewBitmap() *Bitmap { return &Bitmap{} }
 
-// Classify bucketizes a raw trace map in place.
-func Classify(trace []byte) {
-	for i, v := range trace {
-		if v != 0 {
-			trace[i] = bucketLUT[v]
-		}
-	}
-}
-
 // Update classifies trace, merges it into the cumulative map, and reports
 // whether the execution produced new coverage: 2 for a brand-new edge,
 // 1 for a new hit-count bucket on a known edge, 0 for nothing new.
 // The trace is zeroed for the next execution.
 //
-// The scan skips zero regions eight bytes at a time, as AFL++'s map scan
-// does; most executions touch a few hundred of the 65536 cells, so this
-// runs in a few microseconds instead of tens.
+// The scan skips empty 64-byte lines with one test each (see scanLines),
+// so its cost is dominated by reading the map once rather than by the few
+// dozen cells a typical execution touches.
 func (b *Bitmap) Update(trace []byte) int {
 	ret := 0
-	n := len(trace) &^ 7
-	for i := 0; i < n; i += 8 {
-		if binary.LittleEndian.Uint64(trace[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			v := trace[j]
-			if v == 0 {
-				continue
-			}
-			ret = b.merge(j, v, ret)
-			trace[j] = 0
-		}
-	}
-	for i := n; i < len(trace); i++ {
-		if v := trace[i]; v != 0 {
-			ret = b.merge(i, v, ret)
-			trace[i] = 0
-		}
-	}
+	scanCells(trace, true, func(i int, v byte) { ret = b.merge(i, v, ret) })
 	return ret
 }
 
@@ -114,11 +87,7 @@ func (b *Bitmap) SetSnapshot(virgin []byte) error {
 	}
 	copy(b.virgin[:], virgin)
 	b.edges = 0
-	for _, v := range b.virgin {
-		if v != 0 {
-			b.edges++
-		}
-	}
+	scanCells(b.virgin[:], false, func(int, byte) { b.edges++ })
 	return nil
 }
 
@@ -126,4 +95,47 @@ func (b *Bitmap) SetSnapshot(virgin []byte) error {
 func (b *Bitmap) Reset() {
 	b.virgin = [MapSize]byte{}
 	b.edges = 0
+}
+
+// scanLines calls visit, in ascending order, with the byte offset and
+// little-endian value of every 8-byte word of m that holds a non-zero
+// byte; when zero is set it then clears each 64-byte line it visited. An
+// empty line costs one test: its eight words are ORed and skipped
+// together. A final partial line is read through a zero-padded copy, so
+// every length takes the same path.
+func scanLines(m []byte, zero bool, visit func(off int, w uint64)) {
+	var pad [64]byte
+	for i := 0; i < len(m); i += 64 {
+		l := &pad
+		if len(m)-i >= 64 {
+			l = (*[64]byte)(m[i:])
+		} else {
+			copy(pad[:], m[i:])
+		}
+		le := binary.LittleEndian
+		if le.Uint64(l[0:])|le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
+			le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) == 0 {
+			continue
+		}
+		for k := 0; k < 64; k += 8 {
+			if w := le.Uint64(l[k:]); w != 0 {
+				visit(i+k, w)
+			}
+		}
+		if zero {
+			clear(m[i:min(i+64, len(m))])
+		}
+	}
+}
+
+// scanCells calls visit, in ascending order, with the index and value of
+// every non-zero byte of m, clearing the visited lines when zero is set.
+func scanCells(m []byte, zero bool, visit func(i int, v byte)) {
+	scanLines(m, zero, func(off int, w uint64) {
+		for w != 0 {
+			s := bits.TrailingZeros64(w) &^ 7
+			visit(off+s/8, byte(w>>s))
+			w &^= 0xff << s
+		}
+	})
 }

@@ -86,15 +86,6 @@ func TestBitmapUpdate(t *testing.T) {
 	}
 }
 
-func TestClassifyInPlace(t *testing.T) {
-	trace := []byte{0, 1, 3, 200}
-	Classify(trace)
-	want := []byte{0, 1, 4, 128}
-	if !bytes.Equal(trace, want) {
-		t.Fatalf("Classify = %v, want %v", trace, want)
-	}
-}
-
 func TestMutatorRespectsMaxLen(t *testing.T) {
 	r := NewRNG(3)
 	m := NewMutator(r, 64)

@@ -94,29 +94,26 @@ func NewGlobalBitmap() *GlobalBitmap { return &GlobalBitmap{} }
 // contributed. Safe for concurrent use from all shards.
 func (g *GlobalBitmap) Merge(virgin []byte) int {
 	newEdges := 0
-	for wi := range g.words {
-		local := binary.LittleEndian.Uint64(virgin[wi*8:])
-		if local == 0 {
-			continue
-		}
+	scanLines(virgin, false, func(off int, local uint64) {
+		w := &g.words[off/8]
 		for {
-			old := atomic.LoadUint64(&g.words[wi])
+			old := atomic.LoadUint64(w)
 			merged := old | local
 			if merged == old {
-				break
+				return
 			}
-			if atomic.CompareAndSwapUint64(&g.words[wi], old, merged) {
+			if atomic.CompareAndSwapUint64(w, old, merged) {
 				for b := 0; b < 64; b += 8 {
 					if (old>>b)&0xff == 0 && (merged>>b)&0xff != 0 {
 						newEdges++
 					}
 				}
-				break
+				return
 			}
 			// CAS lost to a concurrent merge: reload and retry; the OR is
 			// idempotent so no coverage can be dropped.
 		}
-	}
+	})
 	if newEdges > 0 {
 		g.edges.Add(int64(newEdges))
 	}
@@ -156,15 +153,15 @@ type ParallelConfig struct {
 	// Shards supplies one executor+covmap per shard; len(Shards) is J.
 	Shards []ShardConfig
 	// Seed is the trial seed; shard j fuzzes with ShardSeed(Seed, j).
-	Seed        uint64
-	Fingerprint string
-	Seeds       [][]byte
-	MaxInputLen int
+	Seed         uint64
+	Fingerprint  string
+	Seeds        [][]byte
+	MaxInputLen  int
 	HavocPerSeed int
-	SpliceProb  int
-	Dict        [][]byte
-	Stop        <-chan struct{}
-	CheckEvery  int
+	SpliceProb   int
+	Dict         [][]byte
+	Stop         <-chan struct{}
+	CheckEvery   int
 	// SyncEvery is how many executions a shard runs between sync boundaries
 	// (bitmap merge, corpus publish, inbox drain). Default 256. Lower means
 	// faster cross-shard corpus propagation, higher means less merge

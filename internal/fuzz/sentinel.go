@@ -81,10 +81,10 @@ func (c *Campaign) sentinelProbe() {
 	e := c.queue[c.sentCursor%len(c.queue)]
 	c.sentCursor++
 
-	zeroMap(c.cfg.CovMap)
+	clear(c.cfg.CovMap)
 	resP := c.cfg.Executor.Execute(e.Input)
 	pEdges := edgeSet(c.cfg.CovMap)
-	zeroMap(s.RefCovMap)
+	clear(s.RefCovMap)
 	resR := s.Reference.Execute(e.Input)
 	rEdges := edgeSet(s.RefCovMap)
 
@@ -143,23 +143,11 @@ func (c *Campaign) quarantineEntry(e *Entry) {
 	}
 }
 
-// zeroMap clears a coverage map.
-func zeroMap(m []byte) {
-	for i := range m {
-		m[i] = 0
-	}
-}
-
 // edgeSet collects the indices of non-zero coverage cells and clears the
 // map for the next execution.
 func edgeSet(m []byte) map[int]struct{} {
 	out := make(map[int]struct{})
-	for i, v := range m {
-		if v != 0 {
-			out[i] = struct{}{}
-			m[i] = 0
-		}
-	}
+	scanCells(m, true, func(i int, _ byte) { out[i] = struct{}{} })
 	return out
 }
 

@@ -105,7 +105,11 @@ type VM struct {
 	pathHash   uint64
 	pathLen    int
 
+	// rngState is the rand() builtin's xorshift state. detRand records
+	// Options.DeterministicRand so Fork can copy the state into the child,
+	// as a real fork does, instead of drawing fresh process entropy.
 	rngState uint64
+	detRand  bool
 
 	// Stdout captures target output (bounded).
 	Stdout []byte
@@ -149,6 +153,7 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 		maxBudget:  opts.Budget,
 		maxDepth:   opts.MaxDepth,
 		traceEdges: opts.TraceEdges,
+		detRand:    opts.DeterministicRand,
 	}
 	if v.maxBudget <= 0 {
 		v.maxBudget = DefaultBudget
@@ -263,6 +268,8 @@ func (v *VM) SetInput(data []byte) { v.FS.SetInput(data) }
 
 // Fork clones the image copy-on-write — the forkserver's per-test-case
 // step. The returned child shares pages with the parent until written.
+// Under DeterministicRand the child inherits the parent's rand() state;
+// otherwise it draws fresh entropy, modeling per-process time seeds.
 func (v *VM) Fork() *VM {
 	cm := v.Mem.Fork()
 	child := &VM{
@@ -275,8 +282,12 @@ func (v *VM) Fork() *VM {
 		maxBudget:  v.maxBudget,
 		maxDepth:   v.maxDepth,
 		traceEdges: v.traceEdges,
-		rngState:   aslrCounter.Add(0x9e3779b97f4a7c15) | 1,
+		rngState:   v.rngState,
+		detRand:    v.detRand,
 		sp:         v.sp,
+	}
+	if !v.detRand {
+		child.rngState = aslrCounter.Add(0x9e3779b97f4a7c15) | 1
 	}
 	if v.engine != nil {
 		// Engines hold per-VM machine state, so the child gets its own

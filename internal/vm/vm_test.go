@@ -510,6 +510,33 @@ func TestDeterministicRand(t *testing.T) {
 	}
 }
 
+// TestForkInheritsDeterministicRand: under DeterministicRand a forked
+// child continues the template's rand() stream, as a real fork copies the
+// PRNG state, so every child matches a fresh image with the same seed.
+// Without it each child draws fresh entropy.
+func TestForkInheritsDeterministicRand(t *testing.T) {
+	b := ir.NewBuilder("r", 0)
+	b.Ret(b.Call("rand"))
+	m := buildModule(t, nil, b.F)
+	opts := Options{DeterministicRand: true, RandSeed: 42}
+	tmpl, _ := New(m, opts)
+	for c := 0; c < 2; c++ {
+		child := tmpl.Fork()
+		fresh, _ := New(m, opts)
+		for i := 0; i < 8; i++ {
+			if got, want := child.Call("r").Ret, fresh.Call("r").Ret; got != want {
+				t.Fatalf("child %d call %d: rand %d, fresh image %d", c, i, got, want)
+			}
+		}
+		child.Release()
+	}
+	nd, _ := New(m, Options{})
+	c1, c2 := nd.Fork(), nd.Fork()
+	if c1.Call("r").Ret == c2.Call("r").Ret {
+		t.Fatal("nondeterministic children produced identical rand (collision unlikely)")
+	}
+}
+
 // Property: compiled arithmetic matches direct Go evaluation for safe ops.
 func TestArithmeticDifferentialProperty(t *testing.T) {
 	f := func(a, b int64, opSel uint8) bool {
