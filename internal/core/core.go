@@ -503,7 +503,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 			// gap surfaces as sentinel divergence during the campaign.
 			refBackend = otherBackend(opts.Backend)
 		}
-		refCov := make([]byte, fuzz.MapSize)
+		refCov := vm.NewCovMap()
 		ref, rerr := execmgr.NewFresh(execmgr.Config{
 			Module:            mod,
 			CovMap:            refCov,
@@ -540,7 +540,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		return newParallelInstance(t, mod, opts, newMech, newSentinel, dict, fingerprint)
 	}
 
-	cov := make([]byte, fuzz.MapSize)
+	cov := vm.NewCovMap()
 	mech, err := newMech(cov, opts.TrialSeed)
 	if err != nil {
 		return nil, err
@@ -597,7 +597,7 @@ func newParallelInstance(
 	}
 	var shards []fuzz.ShardConfig
 	for j := 0; j < opts.Jobs; j++ {
-		cov := make([]byte, fuzz.MapSize)
+		cov := vm.NewCovMap()
 		mech, err := newMech(cov, fuzz.ShardSeed(opts.TrialSeed, j))
 		if err != nil {
 			closeAll()
@@ -615,7 +615,7 @@ func newParallelInstance(
 		if j > 0 || opts.SentinelEvery <= 0 {
 			j := j
 			sc.Rebuild = func() (fuzz.Executor, []byte, error) {
-				ncov := make([]byte, fuzz.MapSize)
+				ncov := vm.NewCovMap()
 				nm, rerr := newMech(ncov, fuzz.ShardSeed(opts.TrialSeed, j))
 				if rerr != nil {
 					return nil, nil, rerr

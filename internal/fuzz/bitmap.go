@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"closurex/internal/vm"
 )
 
-// MapSize is the AFL-compatible coverage map size.
-const MapSize = 1 << 16
+// MapSize is the AFL-compatible coverage map size, as the VM defines it.
+const MapSize = vm.CovMapSize
 
 // bucketLUT classifies raw hit counts into AFL's logarithmic buckets
 // (1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128-255).
@@ -44,12 +46,14 @@ func NewBitmap() *Bitmap { return &Bitmap{} }
 // 1 for a new hit-count bucket on a known edge, 0 for nothing new.
 // The trace is zeroed for the next execution.
 //
-// The scan skips empty 64-byte lines with one test each (see scanLines),
-// so its cost is dominated by reading the map once rather than by the few
-// dozen cells a typical execution touches.
+// For a map from vm.NewCovMap the cost is set by the lines the execution
+// touched: the 1 KiB touched-line index is scanned, and only the 64-byte
+// lines it marks are read (see scanTrace). Any other map is scanned in
+// full, skipping empty lines with one test each, so its cost is set by
+// the map size.
 func (b *Bitmap) Update(trace []byte) int {
 	ret := 0
-	scanCells(trace, true, func(i int, v byte) { ret = b.merge(i, v, ret) })
+	scanTrace(trace, func(i int, v byte) { ret = b.merge(i, v, ret) })
 	return ret
 }
 
@@ -131,11 +135,40 @@ func scanLines(m []byte, zero bool, visit func(off int, w uint64)) {
 // scanCells calls visit, in ascending order, with the index and value of
 // every non-zero byte of m, clearing the visited lines when zero is set.
 func scanCells(m []byte, zero bool, visit func(i int, v byte)) {
-	scanLines(m, zero, func(off int, w uint64) {
-		for w != 0 {
-			s := bits.TrailingZeros64(w) &^ 7
-			visit(off+s/8, byte(w>>s))
-			w &^= 0xff << s
+	scanLines(m, zero, func(off int, w uint64) { wordCells(off, w, visit) })
+}
+
+// wordCells calls visit, in ascending order, with the index and value of
+// every non-zero byte of the little-endian word w read at byte offset off.
+func wordCells(off int, w uint64, visit func(i int, v byte)) {
+	for w != 0 {
+		s := bits.TrailingZeros64(w) &^ 7
+		visit(off+s/8, byte(w>>s))
+		w &^= 0xff << s
+	}
+}
+
+// scanTrace consumes one execution's coverage map: it calls visit, in
+// ascending order, with the index and value of every non-zero cell, and
+// leaves trace zeroed. When trace carries a touched-line index
+// (vm.CovIndex), only the lines the index marks are read, and the index is
+// cleared with them; the index never misses a non-zero line, so the result
+// is that of the full scan. Any other map is scanned in full.
+func scanTrace(trace []byte, visit func(i int, v byte)) {
+	idx := vm.CovIndex(trace)
+	if idx == nil {
+		scanCells(trace, true, visit)
+		return
+	}
+	le := binary.LittleEndian
+	scanCells(idx[:], true, func(l int, _ byte) {
+		off := l << vm.CovLineShift
+		line := (*[vm.CovLineSize]byte)(trace[off:])
+		for k := 0; k < vm.CovLineSize; k += 8 {
+			if w := le.Uint64(line[k:]); w != 0 {
+				wordCells(off+k, w, visit)
+			}
 		}
+		clear(line[:])
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"closurex/internal/vm"
 )
 
 // refBitmap is the byte-wise reference for Bitmap.Update: every cell is
@@ -81,18 +83,81 @@ var traceKinds = []traceKind{
 
 var traceLens = []int{0, 7, 63, 64, 65, 127, MapSize}
 
+// traceMap is one coverage-map shape the differential tests feed the
+// kernels: a plain slice of length n, or (indexed) a vm.NewCovMap map.
+type traceMap struct {
+	n       int
+	indexed bool
+}
+
+func (m traceMap) String() string {
+	if m.indexed {
+		return fmt.Sprintf("indexed/len%d", m.n)
+	}
+	return fmt.Sprintf("len%d", m.n)
+}
+
+func (m traceMap) alloc() []byte {
+	if m.indexed {
+		return vm.NewCovMap()
+	}
+	return make([]byte, m.n)
+}
+
+// traceMaps is every plain length in traceLens plus the indexed map.
+var traceMaps = func() []traceMap {
+	var out []traceMap
+	for _, n := range traceLens {
+		out = append(out, traceMap{n: n})
+	}
+	return append(out, traceMap{n: MapSize, indexed: true})
+}()
+
+// markIndex sets trace's touched-line index the way the VM's probes do —
+// one byte for every non-zero line — and then over-reports: it also marks
+// a few random lines, which are mostly zero. A plain trace is left alone.
+func markIndex(r *RNG, trace []byte) {
+	idx := vm.CovIndex(trace)
+	if idx == nil {
+		return
+	}
+	for i, v := range trace {
+		if v != 0 {
+			idx[i>>vm.CovLineShift] = 1
+		}
+	}
+	for k := 0; k < 8; k++ {
+		idx[r.Intn(vm.CovIndexSize)] = 1
+	}
+}
+
+// checkConsumed fails unless trace, and its index when it has one, are
+// all zero.
+func checkConsumed(t *testing.T, what string, trace []byte) {
+	t.Helper()
+	if !bytes.Equal(trace, make([]byte, len(trace))) {
+		t.Fatalf("%s: trace not zeroed", what)
+	}
+	if idx := vm.CovIndex(trace); idx != nil && *idx != [vm.CovIndexSize]byte{} {
+		t.Fatalf("%s: line index not zeroed", what)
+	}
+}
+
 // TestUpdateMatchesReference drives the line-granular Update and the
 // byte-wise reference with the same random traces and requires the same
 // gain, edge count and virgin map after every update, and a zeroed trace.
+// The indexed map, whose index over-reports, must agree too and must also
+// come back with its index zeroed.
 func TestUpdateMatchesReference(t *testing.T) {
-	for _, n := range traceLens {
+	for _, tm := range traceMaps {
 		for _, k := range traceKinds {
-			t.Run(fmt.Sprintf("%s/len%d", k.name, n), func(t *testing.T) {
-				r := NewRNG(uint64(n)*31 + uint64(len(k.name)))
+			t.Run(fmt.Sprintf("%s/%s", k.name, tm), func(t *testing.T) {
+				r := NewRNG(uint64(tm.n)*31 + uint64(len(k.name)))
 				b, ref := NewBitmap(), &refBitmap{}
-				got, want := make([]byte, n), make([]byte, n)
+				got, want := tm.alloc(), make([]byte, tm.n)
 				for round := 0; round < 20; round++ {
 					k.fill(r, got)
+					markIndex(r, got)
 					copy(want, got)
 					g, w := b.Update(got), ref.update(want)
 					if g != w {
@@ -104,9 +169,7 @@ func TestUpdateMatchesReference(t *testing.T) {
 					if !bytes.Equal(b.Snapshot(), ref.virgin[:]) {
 						t.Fatalf("round %d: virgin map differs from the reference", round)
 					}
-					if !bytes.Equal(got, make([]byte, n)) {
-						t.Fatalf("round %d: trace not zeroed", round)
-					}
+					checkConsumed(t, fmt.Sprintf("round %d", round), got)
 					restored := NewBitmap()
 					if err := restored.SetSnapshot(b.Snapshot()); err != nil {
 						t.Fatal(err)
@@ -149,13 +212,15 @@ func TestMergeMatchesReference(t *testing.T) {
 }
 
 // TestEdgeSetMatchesReference checks the sentinel's edge-set extraction
-// against a byte-wise walk, including the zeroing of the map.
+// against a byte-wise walk, including the zeroing of the map (and of the
+// index of an indexed map).
 func TestEdgeSetMatchesReference(t *testing.T) {
-	for _, n := range traceLens {
+	for _, tm := range traceMaps {
 		for _, k := range traceKinds {
-			r := NewRNG(uint64(n) + 7)
-			m := make([]byte, n)
+			r := NewRNG(uint64(tm.n) + 7)
+			m := tm.alloc()
 			k.fill(r, m)
+			markIndex(r, m)
 			want := map[int]struct{}{}
 			for i, v := range m {
 				if v != 0 {
@@ -164,11 +229,9 @@ func TestEdgeSetMatchesReference(t *testing.T) {
 			}
 			got := edgeSet(m)
 			if !sameEdgeSet(got, want) {
-				t.Fatalf("%s/len%d: edge set of %d cells, reference %d", k.name, n, len(got), len(want))
+				t.Fatalf("%s/%s: edge set of %d cells, reference %d", k.name, tm, len(got), len(want))
 			}
-			if !bytes.Equal(m, make([]byte, n)) {
-				t.Fatalf("%s/len%d: map not zeroed", k.name, n)
-			}
+			checkConsumed(t, fmt.Sprintf("%s/%s", k.name, tm), m)
 		}
 	}
 }
@@ -177,7 +240,9 @@ func TestEdgeSetMatchesReference(t *testing.T) {
 // state of a campaign: the virgin map already holds every cell the trace
 // touches, so the update finds no gain. "cells38" re-marks 38 scattered
 // cells per iteration (the repository benchmark's measured hit count per
-// execution); "empty" scans a map nothing touched.
+// execution); "empty" scans a map nothing touched; "indexed" re-marks the
+// same 38 cells in a vm.NewCovMap map, setting their lines' index bytes
+// as the VM's probes do, so Update reads only those lines.
 func BenchmarkBitmapUpdate(b *testing.B) {
 	r := NewRNG(1)
 	cells := make([]int, 38)
@@ -185,21 +250,30 @@ func BenchmarkBitmapUpdate(b *testing.B) {
 		cells[i] = r.Intn(MapSize)
 	}
 	for _, bc := range []struct {
-		name  string
-		cells []int
-	}{{"cells38", cells}, {"empty", nil}} {
+		name    string
+		cells   []int
+		indexed bool
+	}{{"cells38", cells, false}, {"empty", nil, false}, {"indexed", cells, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			bm := NewBitmap()
 			trace := make([]byte, MapSize)
-			for _, c := range bc.cells {
-				trace[c] = 1
+			if bc.indexed {
+				trace = vm.NewCovMap()
 			}
+			idx := vm.CovIndex(trace)
+			hit := func() {
+				for _, c := range bc.cells {
+					trace[c] = 1
+					if idx != nil {
+						idx[c>>vm.CovLineShift] = 1
+					}
+				}
+			}
+			hit()
 			bm.Update(trace)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, c := range bc.cells {
-					trace[c] = 1
-				}
+				hit()
 				benchGain = bm.Update(trace)
 			}
 		})

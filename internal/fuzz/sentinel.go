@@ -147,7 +147,7 @@ func (c *Campaign) quarantineEntry(e *Entry) {
 // map for the next execution.
 func edgeSet(m []byte) map[int]struct{} {
 	out := make(map[int]struct{})
-	scanCells(m, true, func(i int, _ byte) { out[i] = struct{}{} })
+	scanTrace(m, func(i int, _ byte) { out[i] = struct{}{} })
 	return out
 }
 

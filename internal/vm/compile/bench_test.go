@@ -26,7 +26,7 @@ func buildBench(b *testing.B, name string) *ir.Module {
 func benchBackend(b *testing.B, target, backend string) {
 	m := buildBench(b, target)
 	tg := targets.Get(target)
-	cov := make([]byte, mapSize)
+	cov := vm.NewCovMap()
 	v, err := vm.New(m, vm.Options{CovMap: cov, DeterministicRand: true, RandSeed: 1, Backend: backend})
 	if err != nil {
 		b.Fatal(err)

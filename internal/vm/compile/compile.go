@@ -41,11 +41,8 @@ const (
 	errPC = -2 // m.err holds the fault / exit unwind
 )
 
-// covMapSize / covMask mirror the VM's AFL-compatible bitmap size (64 KiB).
-const (
-	covMapSize = 1 << 16
-	covMask    = covMapSize - 1
-)
+// covMask truncates a probe's edge index into the VM's coverage map.
+const covMask = vm.CovMapSize - 1
 
 // op is one compiled instruction: it executes against the machine and the
 // current activation's register file and returns the next pc.

@@ -14,8 +14,6 @@ import (
 	_ "closurex/internal/vm/compile"
 )
 
-const mapSize = 1 << 16
-
 // buildTarget compiles and instruments one benchmark target with the full
 // ClosureX pipeline plus coverage, i.e. the module shape the fuzzer runs.
 func buildTarget(t *testing.T, tg *targets.Target, sanitize bool) *ir.Module {
@@ -48,7 +46,7 @@ func buildModule(tg *targets.Target, sanitize bool) (*ir.Module, error) {
 // runOnce executes one input in a fresh VM on the given backend.
 func runOnce(t *testing.T, m *ir.Module, backend string, input []byte, budget int64, sanitize bool) (vm.Result, []byte) {
 	t.Helper()
-	cov := make([]byte, mapSize)
+	cov := vm.NewCovMap()
 	v, err := vm.New(m, vm.Options{
 		CovMap:            cov,
 		Budget:            budget,
@@ -104,6 +102,9 @@ func diffResults(t *testing.T, label string, ri, rc vm.Result, covI, covC []byte
 		}
 		t.Errorf("%s: coverage bitmaps diverge at %d cells (first %d: interp=%d compiled=%d)",
 			label, n, first, covI[first], covC[first])
+	}
+	if ii, ic := vm.CovIndex(covI), vm.CovIndex(covC); ii != nil && ic != nil && *ii != *ic {
+		t.Errorf("%s: touched-line indexes diverge", label)
 	}
 }
 
@@ -204,7 +205,7 @@ func TestCompiledRepeatIdentity(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Skip("no seeds")
 	}
-	cov := make([]byte, mapSize)
+	cov := vm.NewCovMap()
 	v, err := vm.New(m, vm.Options{
 		CovMap:            cov,
 		TraceEdges:        true,
@@ -218,7 +219,7 @@ func TestCompiledRepeatIdentity(t *testing.T) {
 	// Persistent-style reruns mutate globals, so compare against the
 	// interpreter doing the exact same rerun sequence instead of against
 	// the first compiled run.
-	covI := make([]byte, mapSize)
+	covI := vm.NewCovMap()
 	vi, err := vm.New(m, vm.Options{
 		CovMap:            covI,
 		TraceEdges:        true,

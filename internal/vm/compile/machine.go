@@ -28,13 +28,13 @@ type machine struct {
 	maxDepth int
 	curFn    **ir.Func
 
-	cov   []byte // rebound per execution (SetCovMap may swap maps)
 	trace bool
-	// cov16 is cov viewed as a full-size AFL bitmap when it is at least
-	// 64 KiB (the fuzzer's map always is): indexing it with a
-	// covMask-truncated value needs no bounds check. nil for short maps;
-	// probes then fall back to the slice.
-	cov16 *[covMapSize]byte
+	// cov16 is the VM's coverage map as a full-size array, so indexing it
+	// with a covMask-truncated value needs no bounds check; covIdx is its
+	// touched-line index. Both are bound once: the VM fixes its map at
+	// construction.
+	cov16  *[vm.CovMapSize]byte
+	covIdx *[vm.CovIndexSize]byte
 
 	// mem caches v.Mem; tlb is the per-machine page-translation cache the
 	// load/store closures consult before the page-table map, and acc holds
@@ -84,6 +84,8 @@ func newEngine(v *vm.VM, p *program) *engine {
 		depth:    h.Depth,
 		maxDepth: h.MaxDepth,
 		curFn:    h.CurFn,
+		cov16:    h.Cov,
+		covIdx:   h.CovIdx,
 	}
 	return e
 }
@@ -98,12 +100,6 @@ func (e *engine) Exec(f *ir.Func, args []int64) (int64, error) {
 		return 0, fmt.Errorf("compile: function %s not in compiled program", f.Name)
 	}
 	m := &e.m
-	m.cov = e.v.EngineCov()
-	if len(m.cov) >= covMapSize {
-		m.cov16 = (*[covMapSize]byte)(m.cov[:covMapSize])
-	} else {
-		m.cov16 = nil
-	}
 	m.trace = e.v.EngineTrace()
 	m.mem = e.v.Mem
 	if len(m.acc) < e.p.nSites {

@@ -119,16 +119,13 @@ func emit(p *program, cf *cfn, e *elem, pc int, lay *vm.Layout, ec *ElemCert) (o
 	return nil, fmt.Errorf("unknown opcode %d", uint8(in.Op))
 }
 
-// covHit records one coverage probe: the AFL edge-index increment plus
-// the trace-mode path hash. The full-size bitmap pointer (cov16) makes
-// the masked index provably in bounds.
+// covHit records one coverage probe: the AFL edge-index increment, its
+// line's mark in the touched-line index, and the trace-mode path hash.
+// The full-size array pointers make the masked index provably in bounds.
 func covHit(m *machine, loc, shifted uint64) {
 	idx := (loc ^ *m.prevLoc) & covMask
-	if m.cov16 != nil {
-		m.cov16[idx]++
-	} else {
-		m.cov[idx]++
-	}
+	m.cov16[idx]++
+	m.covIdx[idx>>vm.CovLineShift] = 1
 	*m.prevLoc = shifted
 	if m.trace {
 		*m.pathHash = (*m.pathHash ^ idx) * 1099511628211

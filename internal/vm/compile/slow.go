@@ -105,13 +105,7 @@ func (m *machine) slowRun(f *cfn, pc int) int {
 			return f.blockStart[in.Targets[1]]
 		case ir.OpCov:
 			loc := uint64(in.Imm)
-			idx := (loc ^ *m.prevLoc) & covMask
-			m.cov[idx]++
-			*m.prevLoc = loc >> 1
-			if m.trace {
-				*m.pathHash = (*m.pathHash ^ idx) * 1099511628211
-				*m.pathLen++
-			}
+			covHit(m, loc, loc>>1)
 		case ir.OpUnreachable:
 			return m.fault(vm.FaultUnreachable, in, 0, "")
 		case ir.OpSanCheck:

@@ -146,7 +146,9 @@ func (v *VM) CallBuiltinIndexed(idx int, in *ir.Instr, args []int64) (int64, err
 // cells the interpreter would: the instruction budget and count, the
 // coverage chain state (prevLoc, path hash/length), the stack frontier
 // and call depth the access checker validates against, and the current
-// function pointer fault reports and allocation-site notes read.
+// function pointer fault reports and allocation-site notes read. Cov and
+// CovIdx are the coverage map and its touched-line index, fixed at
+// construction: a probe bumps Cov[idx] and sets CovIdx[idx>>CovLineShift].
 type EngineHooks struct {
 	Budget   *int64
 	Instrs   *int64
@@ -157,6 +159,8 @@ type EngineHooks struct {
 	Depth    *int
 	MaxDepth int
 	CurFn    **ir.Func
+	Cov      *[CovMapSize]byte
+	CovIdx   *[CovIndexSize]byte
 }
 
 // Hooks returns the bridge into v's per-execution state. The pointers are
@@ -172,12 +176,14 @@ func (v *VM) Hooks() EngineHooks {
 		Depth:    &v.depth,
 		MaxDepth: v.maxDepth,
 		CurFn:    &v.curFn,
+		Cov:      (*[CovMapSize]byte)(v.covMap),
+		CovIdx:   v.covIdx,
 	}
 }
 
-// EngineCov returns the currently bound coverage bitmap (always non-nil:
-// VMs built without an external map carry a scratch one). Engines re-read
-// it per execution so SetCovMap rebinds take effect.
+// EngineCov returns the coverage map bound at construction (always
+// non-nil: VMs built without an external map carry a scratch one), with
+// its capacity intact so CovIndex still finds the index.
 func (v *VM) EngineCov() []byte { return v.covMap }
 
 // EngineTrace reports whether path-sensitive edge tracing is armed.

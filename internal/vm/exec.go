@@ -8,9 +8,6 @@ import (
 	"closurex/internal/mem"
 )
 
-// covMapSize is the AFL-compatible bitmap size.
-const covMapSize = 1 << 16
-
 // fault constructs a sanitizer report at the current instruction.
 func (v *VM) fault(kind FaultKind, in *ir.Instr, addr uint64, msg string) *Fault {
 	fn := "?"
@@ -185,10 +182,12 @@ func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
 				}
 			case ir.OpCov:
 				loc := uint64(in.Imm)
-				idx := (loc ^ v.prevLoc) & (covMapSize - 1)
-				// covMap is always bound (VMs without an external map carry
-				// a scratch one), so no nil check in the hot loop.
+				idx := (loc ^ v.prevLoc) & (CovMapSize - 1)
+				// covMap and covIdx are always bound (VMs without an
+				// external map or index carry scratch ones), so no nil
+				// check in the hot loop.
 				v.covMap[idx]++
+				v.covIdx[idx>>CovLineShift] = 1
 				v.prevLoc = loc >> 1
 				if v.traceEdges {
 					v.pathHash = (v.pathHash ^ idx) * 1099511628211

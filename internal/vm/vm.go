@@ -29,7 +29,11 @@ var aslrCounter atomic.Uint64
 
 // Options configures VM construction.
 type Options struct {
-	// CovMap, when non-nil, receives AFL-style hit counts; must be 64 KiB.
+	// CovMap, when non-nil, receives AFL-style hit counts; it must be
+	// CovMapSize bytes long or New fails. A map from NewCovMap also gets
+	// its touched-line index kept (see CovIndex): every probe that bumps
+	// a cell marks the cell's line, so consumers read only those lines.
+	// Any other map works too; its VM keeps a private index nobody reads.
 	CovMap []byte
 	// Budget overrides DefaultBudget when > 0.
 	Budget int64
@@ -93,6 +97,7 @@ type VM struct {
 	FS     *vfs.FS
 
 	covMap  []byte
+	covIdx  *[CovIndexSize]byte // covMap's touched-line index (see bindCov)
 	prevLoc uint64
 
 	budget    int64
@@ -149,7 +154,6 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 		Mod:        mod,
 		Layout:     lay,
 		Mem:        mem.NewMemoryLimit(opts.PageLimit),
-		covMap:     opts.CovMap,
 		maxBudget:  opts.Budget,
 		maxDepth:   opts.MaxDepth,
 		traceEdges: opts.TraceEdges,
@@ -161,11 +165,8 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	if v.maxDepth <= 0 {
 		v.maxDepth = DefaultMaxDepth
 	}
-	if v.covMap == nil {
-		// Always bind a bitmap so the per-OpCov nil check disappears from
-		// the hot loop; a VM built without an external map writes into a
-		// private scratch map nobody reads.
-		v.covMap = make([]byte, covMapSize)
+	if err := v.bindCov(opts.CovMap); err != nil {
+		return nil, err
 	}
 	if opts.DeterministicRand {
 		// splitmix64 scramble: adjacent seeds must yield independent
@@ -250,16 +251,6 @@ func (v *VM) writeGlobalInitializers() error {
 	return nil
 }
 
-// SetCovMap (re)binds the coverage bitmap. nil detaches the external map
-// by rebinding a private scratch map (the hot loop assumes covMap is
-// always non-nil), which disables observable coverage.
-func (v *VM) SetCovMap(m []byte) {
-	if m == nil {
-		m = make([]byte, covMapSize)
-	}
-	v.covMap = m
-}
-
 // SetTraceEdges toggles path-sensitive tracing.
 func (v *VM) SetTraceEdges(on bool) { v.traceEdges = on }
 
@@ -279,6 +270,7 @@ func (v *VM) Fork() *VM {
 		Heap:       v.Heap.Clone(cm),
 		FS:         v.FS.Clone(),
 		covMap:     v.covMap,
+		covIdx:     v.covIdx, // the child shares the map, so its index too
 		maxBudget:  v.maxBudget,
 		maxDepth:   v.maxDepth,
 		traceEdges: v.traceEdges,
