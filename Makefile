@@ -77,7 +77,7 @@ interproc:
 # build. The score cards print so regressions are diagnosable from CI logs.
 harness-audit:
 	$(GO) test ./internal/analysis/harnessaudit/
-	$(GO) test -run 'Dict|Catalog|PreferredProbe|CovMapCells|SeedMirrors' ./internal/fuzz/ ./internal/analysis/ ./internal/passes/ ./internal/core/
+	$(GO) test -run 'Dict|Catalog|PreferredProbe|CovMapCells' ./internal/fuzz/ ./internal/analysis/ ./internal/passes/
 	$(GO) run ./cmd/closurex-lint -q -strict -target all -harness-report
 
 # Chaos gate: the shard-supervision fault-injection matrix. Unit level,
@@ -122,7 +122,7 @@ transval:
 # gate; CLX128/129/131 are advisory and tolerated.
 synth:
 	$(GO) test -count=1 ./internal/analysis/synth/
-	$(GO) test -race -timeout 15m -count=1 -run 'Synth' ./internal/analysis/synth/ ./internal/experiments/ ./internal/core/
+	$(GO) test -race -timeout 15m -count=1 -run 'Synth' ./internal/analysis/synth/ ./internal/experiments/
 	$(GO) run ./cmd/closurex-lint -q -target all -synth
 
 check: vet test race faultcheck lint sanitize interproc harness-audit chaos compile transval synth benchjson

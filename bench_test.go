@@ -130,7 +130,7 @@ int main(void) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m, err := execmgr.New(mech, execmgr.Config{Module: mod, ImagePages: 512})
+			m, err := execmgr.New(mech, execmgr.Config{Module: mod, Options: vm.Options{ImagePages: 512}})
 			if err != nil {
 				b.Fatal(err)
 			}

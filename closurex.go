@@ -64,13 +64,11 @@ type Options struct {
 	// reference run on the OTHER backend (compiled campaign → interpreter
 	// reference and vice versa), so every probe differentially tests the
 	// two execution tiers against each other on real campaign inputs.
-	// Requires SentinelEvery > 0 to have any effect.
-	SentinelCrossBackend bool
-	// TransvalOff disables the translation-validation gate: by default a
-	// campaign that arms the compiled tier (Backend "compiled" or a
+	// Requires SentinelEvery > 0; without it building the fuzzer fails.
+	// A campaign that arms the compiled tier (Backend "compiled" or a
 	// cross-backend sentinel) refuses to start unless analysis/transval
 	// certifies the compiled program against the IR.
-	TransvalOff bool
+	SentinelCrossBackend bool
 	// Seed seeds the deterministic campaign RNG.
 	Seed uint64
 	// MaxInputLen bounds mutated inputs (default 4096).
@@ -98,7 +96,8 @@ type Options struct {
 	// Resilient wraps the closurex mechanism in the campaign resilience
 	// ladder: a restore watchdog that validates post-iteration invariants,
 	// quarantine + image rebuild on violation, and graceful degradation to
-	// the forkserver after bounded retries.
+	// the forkserver after bounded retries. With any other mechanism
+	// building the fuzzer fails.
 	Resilient bool
 	// SentinelEvery arms the divergence sentinel: every N executions one
 	// queue entry is replayed in a fresh process image and cross-checked
@@ -119,8 +118,8 @@ type Options struct {
 	Sanitize bool
 	// SanitizeNoElide disables the static check-elision analysis while
 	// keeping the sanitizer armed — the benchmark configuration that
-	// measures what the analysis is worth. Implies nothing unless
-	// Sanitize is set.
+	// measures what the analysis is worth. Requires Sanitize; without it
+	// building the fuzzer fails.
 	SanitizeNoElide bool
 	// Interproc arms restore elision: the build runs the interprocedural
 	// mod/ref + lifetime analysis (InterprocPass) and the ClosureX harness
@@ -243,20 +242,24 @@ func NewFuzzer(source string, seeds [][]byte, opts Options) (*Fuzzer, error) {
 	if mechanism == "" {
 		mechanism = "closurex"
 	}
-	maxLen := opts.MaxInputLen
-	if maxLen <= 0 {
-		maxLen = 4096
-	}
 	t := &targets.Target{
 		Name:        "user",
 		Short:       "user",
 		Source:      source,
 		Seeds:       func() [][]byte { return seeds },
-		MaxInputLen: maxLen,
+		MaxInputLen: opts.MaxInputLen,
 		ImagePages:  opts.ImagePages,
 	}
 	for _, tok := range opts.Dict {
 		t.Dict = append(t.Dict, string(tok))
+	}
+	return newFuzzer(t, mechanism, opts)
+}
+
+// newFuzzer builds the core instance for t under the public options.
+func newFuzzer(t *targets.Target, mechanism string, opts Options) (*Fuzzer, error) {
+	if opts.SanitizeNoElide && !opts.Sanitize {
+		return nil, fmt.Errorf("closurex: SanitizeNoElide requires Sanitize")
 	}
 	inst, err := core.NewInstance(t, mechanism, instanceOptions(opts))
 	if err != nil {
@@ -284,7 +287,6 @@ func instanceOptions(opts Options) core.InstanceOptions {
 		AutoDict:             opts.AutoDict,
 		Backend:              opts.Backend,
 		SentinelCrossBackend: opts.SentinelCrossBackend,
-		TransvalOff:          opts.TransvalOff,
 	}
 	if opts.Sanitize {
 		io.Sanitize = core.SanitizeElide
@@ -320,11 +322,7 @@ func NewBenchmarkFuzzerOptions(benchmark, mechanism string, opts Options) (*Fuzz
 	if mechanism == "" {
 		mechanism = "closurex"
 	}
-	inst, err := core.NewInstance(t, mechanism, instanceOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return &Fuzzer{inst: inst}, nil
+	return newFuzzer(t, mechanism, opts)
 }
 
 // RunFor fuzzes until d has elapsed.

@@ -89,6 +89,31 @@ func TestNewFuzzerRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestNewFuzzerRejectsInertOptions: an option that would be silently
+// ignored in its combination fails the build instead, naming the option.
+func TestNewFuzzerRejectsInertOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"resilient-forkserver", Options{Mechanism: "forkserver", Resilient: true}, "resilience"},
+		{"cross-backend-no-sentinel", Options{SentinelCrossBackend: true}, "SentinelEvery"},
+		{"no-elide-no-sanitize", Options{SanitizeNoElide: true}, "SanitizeNoElide"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := NewFuzzer(demoSource, [][]byte{[]byte("ab")}, tc.opts)
+			if err == nil {
+				f.Close()
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %s", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestNewBenchmarkFuzzer(t *testing.T) {
 	f, err := NewBenchmarkFuzzer("giftext", "forkserver", 1)
 	if err != nil {

@@ -73,14 +73,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	v, ok := map[string]core.Variant{
-		"pristine":           core.Pristine,
-		"baseline":           core.Baseline,
-		"closurex":           core.ClosureX,
-		"closurex+deferinit": core.ClosureXDeferInit,
-	}[*variant]
-	if !ok {
-		fatalf("unknown variant %q", *variant)
+	v, err := core.ParseVariant(*variant)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	pristine, err := core.Compile(name, src)

@@ -45,7 +45,6 @@ func main() {
 		mechanism  = flag.String("mechanism", "closurex", "fresh | forkserver | persistent-naive | closurex")
 		backend    = flag.String("backend", "interp", "VM execution engine: interp (reference interpreter) | compiled (closure-chain tier; bit-identical, faster)")
 		sentCross  = flag.Bool("sentinel-cross-backend", false, "with -sentinel-every: run the sentinel's fresh-process reference on the other backend, differentially testing the execution tiers")
-		transval   = flag.String("transval", "on", "translation validation for the compiled tier: on (refuse to start uncertified) | off (bypass the gate)")
 		duration   = flag.Duration("duration", 10*time.Second, "fuzzing time")
 		seed       = flag.Uint64("seed", 1, "campaign RNG seed")
 		status     = flag.Duration("status", 2*time.Second, "status interval")
@@ -76,11 +75,6 @@ func main() {
 	flag.Var(&seeds, "seed-file", "seed corpus file (repeatable; -file mode)")
 	flag.Parse()
 
-	if *transval != "on" && *transval != "off" {
-		fmt.Fprintf(os.Stderr, "closurex-fuzz: -transval must be on or off, got %q\n", *transval)
-		os.Exit(2)
-	}
-
 	// A supervisor signal stops the campaign at the next coarse check
 	// instead of killing it mid-iteration, so every shard drains to a sync
 	// boundary and the final checkpoint always lands on clean Step
@@ -102,7 +96,6 @@ func main() {
 		Mechanism:            *mechanism,
 		Backend:              *backend,
 		SentinelCrossBackend: *sentCross,
-		TransvalOff:          *transval == "off",
 		Seed:                 *seed,
 		Sanitize:             *sanitize,
 		SanitizeNoElide:      *noElide,

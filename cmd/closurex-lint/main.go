@@ -121,7 +121,7 @@ func main() {
 		return
 	}
 
-	v, err := parseVariant(*variant)
+	v, err := core.ParseVariant(*variant)
 	if err != nil {
 		fatalf(2, "%v", err)
 	}
@@ -313,15 +313,6 @@ func countWarnings(ds analysis.Diagnostics) int {
 		}
 	}
 	return n
-}
-
-func parseVariant(s string) (core.Variant, error) {
-	for _, v := range []core.Variant{core.Pristine, core.Baseline, core.ClosureX, core.ClosureXDeferInit} {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown variant %q", s)
 }
 
 func printCatalog() {

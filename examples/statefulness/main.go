@@ -12,6 +12,7 @@ import (
 	"closurex/internal/core"
 	"closurex/internal/experiments"
 	"closurex/internal/harness"
+	"closurex/internal/passes"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
 )
@@ -72,7 +73,7 @@ func heapAndGlobalsWalkthrough() {
 	// buffer and file handle.
 	leaky := append([]byte("TMPC"), 'l', 4, 0, 1, 0, 3, 13, 64)
 	v.SetInput(leaky)
-	res := v.Call("target_main")
+	res := v.Call(passes.TargetMain)
 	fmt.Printf("during/after target_main (ret=%d): %d live chunks, %d open FDs — the target leaked\n",
 		res.Ret, v.Heap.LiveChunks(), v.FS.OpenCount())
 	dirty := 0

@@ -40,8 +40,8 @@ type geomResult struct {
 
 // analyzeGeometry reads the committed probe assignments back out of the
 // module and compares each against the slot CoveragePass would have
-// preferred for (seed, function, block).
-func analyzeGeometry(m *ir.Module, mapCells int, covSeed uint64) *geomResult {
+// preferred for (passes.CoverageSeed, function, block).
+func analyzeGeometry(m *ir.Module, mapCells int) *geomResult {
 	res := &geomResult{
 		staticEdges: passes.TotalEdges(m),
 		mapCells:    mapCells,
@@ -54,7 +54,7 @@ func analyzeGeometry(m *ir.Module, mapCells int, covSeed uint64) *geomResult {
 					continue
 				}
 				res.probes++
-				if in.Imm != passes.PreferredProbeID(covSeed, f.Name, bi) {
+				if in.Imm != passes.PreferredProbeID(passes.CoverageSeed, f.Name, bi) {
 					res.displaced++
 				}
 			}
@@ -81,22 +81,22 @@ func (g *geomResult) displacedPct() float64 {
 
 // diagnostics emits CLX120 when either geometry metric crosses its
 // threshold. Module-level: the finding is about the map, not one block.
-func (g *geomResult) diagnostics(maxSaturationPct, maxDisplacedPct float64) analysis.Diagnostics {
+func (g *geomResult) diagnostics() analysis.Diagnostics {
 	var ds analysis.Diagnostics
-	if s := g.saturationPct(); s > maxSaturationPct {
+	if s := g.saturationPct(); s > DefaultMaxSaturationPct {
 		ds = append(ds, analysis.Diagnostic{
 			ID: analysis.IDCovSaturation, Sev: analysis.SevWarn, Pass: auditPass,
 			Block: -1, Instr: -1,
 			Msg: fmt.Sprintf("coverage map saturated: %d probes over %d cells (%.1f%% > %.1f%%); new coverage becomes indistinguishable from aliasing",
-				g.probes, g.mapCells, s, maxSaturationPct),
+				g.probes, g.mapCells, s, DefaultMaxSaturationPct),
 		})
 	}
-	if d := g.displacedPct(); d > maxDisplacedPct {
+	if d := g.displacedPct(); d > DefaultMaxDisplacedPct {
 		ds = append(ds, analysis.Diagnostic{
 			ID: analysis.IDCovSaturation, Sev: analysis.SevWarn, Pass: auditPass,
 			Block: -1, Instr: -1,
 			Msg: fmt.Sprintf("probe hash space crowded: %d of %d probes collision-displaced (%.1f%% > %.1f%%)",
-				g.displaced, g.probes, d, maxDisplacedPct),
+				g.displaced, g.probes, d, DefaultMaxDisplacedPct),
 		})
 	}
 	return ds

@@ -39,16 +39,10 @@ import (
 	"closurex/internal/ir"
 )
 
-// DefaultCoverageSeed mirrors core.CoverageSeed — the probe-ID seed every
-// pipeline build uses. harnessaudit sits below core in the import graph
-// (core calls Harvest), so the value is declared here and cross-checked by
-// a core test, the same arrangement as analysis.TargetMain/passes.TargetMain.
-const DefaultCoverageSeed = 0xC105
-
 // auditPass names this checker in diagnostics.
 const auditPass = "harnessaudit"
 
-// Default gate thresholds. The benchmark targets sit far inside them
+// CLX120 gate thresholds. The benchmark targets sit far inside them
 // (saturation well under 1%, zero displaced probes at 2^16 cells); the
 // thresholds exist so a future harness with a genuinely degraded geometry
 // trips CLX120 rather than silently fuzzing blind.
@@ -70,27 +64,11 @@ type Options struct {
 	// scores against (0 uses passes.CovMapCells, the real 2^16 map).
 	// Tests pass tiny values to exercise the saturation gate.
 	MapCells int
-	// CovSeed overrides the probe-ID seed used to compute displacement
-	// (0 uses DefaultCoverageSeed).
-	CovSeed uint64
-	// MaxSaturationPct / MaxDisplacedPct override the CLX120 thresholds
-	// (0 uses the defaults).
-	MaxSaturationPct float64
-	MaxDisplacedPct  float64
 }
 
 func (o *Options) fill() {
 	if o.MapCells == 0 {
 		o.MapCells = mapCellsDefault
-	}
-	if o.CovSeed == 0 {
-		o.CovSeed = DefaultCoverageSeed
-	}
-	if o.MaxSaturationPct == 0 {
-		o.MaxSaturationPct = DefaultMaxSaturationPct
-	}
-	if o.MaxDisplacedPct == 0 {
-		o.MaxDisplacedPct = DefaultMaxDisplacedPct
 	}
 }
 
@@ -107,8 +85,8 @@ func Audit(target string, m *ir.Module, opts Options) (*Card, analysis.Diagnosti
 	reach := analyzeReach(m)
 	ds = append(ds, reach.diagnostics()...)
 
-	geom := analyzeGeometry(m, opts.MapCells, opts.CovSeed)
-	ds = append(ds, geom.diagnostics(opts.MaxSaturationPct, opts.MaxDisplacedPct)...)
+	geom := analyzeGeometry(m, opts.MapCells)
+	ds = append(ds, geom.diagnostics()...)
 
 	flow := analyzeInputFlow(m)
 	audit := auditDict(flow, opts.Dict)

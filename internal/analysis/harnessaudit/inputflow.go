@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"sort"
 
+	"closurex/internal/analysis"
 	"closurex/internal/ir"
 )
 
@@ -217,7 +218,7 @@ func solveFlow(m *ir.Module) *flowState {
 		st.paramTaint[f.Name] = make([]bool, f.NumRegs)
 	}
 	// Entry-point parameters model argv-style input.
-	for _, root := range []string{"target_main", "main"} {
+	for _, root := range []string{analysis.TargetMain, "main"} {
 		if f := m.Func(root); f != nil {
 			pt := st.paramTaint[root]
 			for i := 0; i < f.NumParams && i < len(pt); i++ {

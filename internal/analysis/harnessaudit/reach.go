@@ -17,10 +17,6 @@ import (
 	"closurex/internal/ir"
 )
 
-// initFunc mirrors passes.InitFuncName via the same convention as
-// analysis.TargetMain: the deferred-init entry point counts as a root.
-const initFunc = "closurex_init"
-
 // funcReach is one function's surface accounting.
 type funcReach struct {
 	name      string
@@ -47,8 +43,8 @@ func analyzeReach(m *ir.Module) *reachResult {
 	} else if m.Func("main") != nil {
 		roots = append(roots, "main")
 	}
-	if m.Func(initFunc) != nil {
-		roots = append(roots, initFunc)
+	if m.Func(analysis.InitFunc) != nil {
+		roots = append(roots, analysis.InitFunc)
 	}
 	live := interproc.BuildCallGraph(m).Reachable(roots...)
 

@@ -23,11 +23,6 @@ import (
 // diagnostics.
 const interprocPass = "InterprocPass"
 
-// initFunc mirrors passes.InitFunc — the deferred-initialization routine
-// the harness invokes directly, hence an analysis root. Declared here
-// because analysis sits below passes in the import graph.
-const initFunc = "closurex_init"
-
 // FuncResult carries one function's per-function analysis outcome.
 type FuncResult struct {
 	Summary   *Summary
@@ -64,7 +59,7 @@ func Analyze(m *ir.Module) *Result {
 		Graph: BuildCallGraph(m),
 		Funcs: make(map[string]*FuncResult, len(m.Funcs)),
 	}
-	for _, root := range []string{analysis.TargetMain, "main", initFunc} {
+	for _, root := range []string{analysis.TargetMain, "main", analysis.InitFunc} {
 		if m.Func(root) != nil {
 			if root == "main" && len(res.Roots) > 0 {
 				continue // target_main present: stale main is the linter's problem

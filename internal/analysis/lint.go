@@ -20,10 +20,15 @@ const (
 	IDProbeMissing  = "CLX007" // instrumented module has a probe-less block
 )
 
-// TargetMain mirrors passes.TargetMain — the entry-point name the pipeline
-// contract requires. analysis sits below passes in the import graph, so the
-// contract string is declared here and cross-checked by a passes test.
-const TargetMain = "target_main"
+// TargetMain is the name the target's entry point carries after the
+// pipeline renames main, and the function every execution mechanism
+// invokes. InitFunc is the optional deferred-initialization routine the
+// harness runs once before the loop. Both are declared here, the lowest
+// layer that needs them; passes re-exports them.
+const (
+	TargetMain = "target_main"
+	InitFunc   = "closurex_init"
+)
 
 // rawCalls maps each raw libc-style routine the pipeline must hook to the
 // lint that fires when a call site survives, the pass held responsible,

@@ -1,29 +1,23 @@
 package synth
 
 // Certification: a synthesized harness earns registration only by
-// round-tripping the exact pipeline hand-written harnesses go through —
-// minc parse → lower → ClosureX pipeline → coverage → verifier + lint —
-// plus two synth-specific obligations: the structural shape (closurex_init
-// and target_main present) and an in-bounds proof from the sanitize
-// interval domain for every memory access the emitter generated. Any
-// failure is CLX130: by construction these are synthesizer bugs, never
-// target properties, so the code is an error and trips every gate.
-//
-// The pipeline below intentionally mirrors core.InstrumentWith's ClosureX
-// ordering (state-restoration passes, then coverage last, then callee
-// resolution); synth cannot import core without a cycle through targets,
-// so a core-side test pins the equivalence.
+// round-tripping the exact build hand-written harnesses go through —
+// core.Compile, then core.Instrument with the ClosureX variant, then
+// verifier + lint — plus two synth-specific obligations: the structural
+// shape (closurex_init and target_main present) and an in-bounds proof
+// from the sanitize interval domain for every memory access the emitter
+// generated. Any failure is CLX130: by construction these are synthesizer
+// bugs, never target properties, so the code is an error and trips every
+// gate.
 
 import (
 	"fmt"
 
 	"closurex/internal/analysis"
-	"closurex/internal/analysis/harnessaudit"
 	"closurex/internal/analysis/interproc"
 	"closurex/internal/analysis/sanitize"
+	"closurex/internal/core"
 	"closurex/internal/ir"
-	"closurex/internal/lower"
-	"closurex/internal/passes"
 	"closurex/internal/vm"
 )
 
@@ -40,19 +34,18 @@ func certify(target, file, src string) (*ir.Module, analysis.Diagnostics) {
 		})
 	}
 
-	pristine, err := lower.Compile(file, src, vm.Builtins())
+	pristine, err := core.Compile(file, src)
 	if err != nil {
 		fail("", fmt.Sprintf("build: %v", err))
 		return nil, ds
 	}
-	vm.ResolveModule(pristine)
 
 	// In-bounds proof on the pristine module: every load/store the
 	// emitter generated (main + closurex_init) must be provable by the
 	// sanitize interval domain. The original target's own functions are
 	// exempt — their accesses are the target's business, guarded at
 	// runtime by the sanitizer like any hand-written harness.
-	for _, fn := range []string{"main", "closurex_init"} {
+	for _, fn := range []string{"main", analysis.InitFunc} {
 		f := pristine.Func(fn)
 		if f == nil {
 			fail(fn, fmt.Sprintf("emitted program lacks %s", fn))
@@ -75,21 +68,16 @@ func certify(target, file, src string) (*ir.Module, analysis.Diagnostics) {
 		return nil, ds
 	}
 
-	mod := pristine.Clone()
-	pm := passes.NewManager(vm.Builtins())
-	pm.Add(passes.ClosureXPipeline(false)...)
-	pm.Add(passes.NewCoveragePass(harnessaudit.DefaultCoverageSeed))
-	if err := pm.Run(mod); err != nil {
+	mod, err := core.Instrument(pristine, core.ClosureX)
+	if err != nil {
 		fail("", fmt.Sprintf("pipeline: %v", err))
 		return nil, ds
 	}
-	vm.ResolveModule(mod)
 
-	if mod.Func(analysis.TargetMain) == nil {
-		fail(analysis.TargetMain, "instrumented module lacks target_main")
-	}
-	if mod.Func("closurex_init") == nil {
-		fail("closurex_init", "instrumented module lacks closurex_init")
+	for _, fn := range []string{analysis.TargetMain, analysis.InitFunc} {
+		if mod.Func(fn) == nil {
+			fail(fn, "instrumented module lacks "+fn)
+		}
 	}
 
 	// The same verifier + lint catalog hand-written harnesses pass.

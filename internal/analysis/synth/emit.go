@@ -3,7 +3,7 @@ package synth
 // Deterministic MinC emission. The synthesized program is the original
 // source with its `main` removed, followed by a generated closurex_init
 // (global preconditions) and a generated dispatching main: read up to
-// BufCap input bytes into a frame-local buffer, select an arm on byte 0,
+// DefaultBufCap input bytes into a frame-local buffer, select an arm on byte 0,
 // decode each scalar parameter from fixed header offsets, clamp length
 // parameters into the payload, and call the arm. Every buffer access the
 // emitter writes is at a constant offset into the local array so the
@@ -14,15 +14,17 @@ package synth
 import (
 	"fmt"
 	"strings"
+
+	"closurex/internal/analysis"
 )
 
 // emitSource renders the synthesized program.
-func emitSource(src string, pl *planData, opts Options) string {
+func emitSource(src string, pl *planData) string {
 	var b strings.Builder
 	b.WriteString(strings.TrimRight(stripMain(src), " \t\n"))
 	b.WriteString("\n\n/* --- synthesized by analysis/synth; certified, do not hand-edit --- */\n")
 
-	b.WriteString("void closurex_init(void) {\n")
+	b.WriteString("void " + analysis.InitFunc + "(void) {\n")
 	for _, g := range pl.preGlobals {
 		fmt.Fprintf(&b, "    %s = 1;\n", g)
 	}
@@ -32,15 +34,15 @@ func emitSource(src string, pl *planData, opts Options) string {
 	b.WriteString("}\n\n")
 
 	b.WriteString("int main(void) {\n")
-	fmt.Fprintf(&b, "    char sx_buf[%d];\n", opts.BufCap)
+	fmt.Fprintf(&b, "    char sx_buf[%d];\n", DefaultBufCap)
 	if plansNeedScratch(pl) {
 		b.WriteString("    int sx_scr = 0;\n")
 	}
 	b.WriteString("    int sx_ret = 0;\n")
-	b.WriteString("    closurex_init();\n")
+	b.WriteString("    " + analysis.InitFunc + "();\n")
 	b.WriteString("    int sx_f = fopen(\"/input\", \"r\");\n")
 	b.WriteString("    if (sx_f == 0) { return 0; }\n")
-	fmt.Fprintf(&b, "    int sx_n = fread(sx_buf, 1, %d, sx_f);\n", opts.BufCap)
+	fmt.Fprintf(&b, "    int sx_n = fread(sx_buf, 1, %d, sx_f);\n", DefaultBufCap)
 	b.WriteString("    fclose(sx_f);\n")
 	b.WriteString("    if (sx_n < 1) { return 0; }\n")
 	fmt.Fprintf(&b, "    int sx_sel = sx_buf[0] %% %d;\n", len(pl.arms))

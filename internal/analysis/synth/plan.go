@@ -75,7 +75,6 @@ type planData struct {
 	arms       []Arm
 	preGlobals []string // scalar global names to pre-write in closurex_init
 	hdr        int      // header bytes: 1 selector + widest arm's scalars
-	bufCap     int
 	entry      string
 	functions  int
 	skips      []Skip
@@ -87,7 +86,7 @@ type planData struct {
 func buildPlan(target, file string, prog *minc.Program, facts *harnessaudit.Facts,
 	ip *interproc.Result, m *ir.Module, opts Options) (*planData, analysis.Diagnostics) {
 
-	pl := &planData{bufCap: opts.BufCap, entry: facts.Entry}
+	pl := &planData{entry: facts.Entry}
 	var ds analysis.Diagnostics
 	diag := func(id, fn, msg string) {
 		sev := analysis.SevWarn
@@ -106,7 +105,7 @@ func buildPlan(target, file string, prog *minc.Program, facts *harnessaudit.Fact
 	var candidates []*minc.FuncDecl
 	for _, f := range prog.Funcs {
 		switch f.Name {
-		case "main", analysis.TargetMain, "closurex_init":
+		case "main", analysis.TargetMain, analysis.InitFunc:
 			continue
 		}
 		candidates = append(candidates, f)

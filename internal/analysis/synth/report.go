@@ -35,7 +35,7 @@ type Report struct {
 }
 
 // report assembles the Report from a planning result.
-func (pl *planData) report(target string, opts Options) *Report {
+func (pl *planData) report(target string) *Report {
 	return &Report{
 		Target:          target,
 		Entry:           pl.entry,
@@ -43,7 +43,7 @@ func (pl *planData) report(target string, opts Options) *Report {
 		Arms:            pl.arms,
 		PreGlobals:      pl.preGlobals,
 		HdrBytes:        pl.hdr,
-		BufCap:          opts.BufCap,
+		BufCap:          DefaultBufCap,
 		Unsynthesizable: pl.skips,
 		Uncovered:       pl.uncovered,
 		Shadowed:        pl.shadowed,

@@ -23,20 +23,21 @@ import (
 	"closurex/internal/analysis"
 	"closurex/internal/analysis/harnessaudit"
 	"closurex/internal/analysis/interproc"
+	"closurex/internal/core"
 	"closurex/internal/ir"
-	"closurex/internal/lower"
 	"closurex/internal/minc"
 	"closurex/internal/targets"
-	"closurex/internal/vm"
 )
 
 // synthPass tags every diagnostic this package emits.
 const synthPass = "synth"
 
-// Defaults for Options zero values.
 const (
+	// DefaultMaxArms caps the dispatch arms when Options.MaxArms is 0.
 	DefaultMaxArms = 6
-	DefaultBufCap  = 512
+	// DefaultBufCap sizes the synthesized harness's input buffer, and
+	// hence the synthesized target's MaxInputLen.
+	DefaultBufCap = 512
 )
 
 // Options tunes synthesis.
@@ -44,17 +45,11 @@ type Options struct {
 	// MaxArms caps the dispatch arms in the synthesized target_main
 	// (0 = DefaultMaxArms).
 	MaxArms int
-	// BufCap sizes the input buffer, and hence the synthesized target's
-	// MaxInputLen (0 = DefaultBufCap).
-	BufCap int
 }
 
 func (o Options) fill() Options {
 	if o.MaxArms <= 0 {
 		o.MaxArms = DefaultMaxArms
-	}
-	if o.BufCap <= 0 {
-		o.BufCap = DefaultBufCap
 	}
 	return o
 }
@@ -82,23 +77,22 @@ func Synthesize(target, file, src string, opts Options) (*Harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s: parse: %w", target, err)
 	}
-	m, err := lower.Compile(file, src, vm.Builtins())
+	m, err := core.Compile(file, src)
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s: lower: %w", target, err)
 	}
-	vm.ResolveModule(m)
 
 	facts := harnessaudit.CollectFacts(m)
 	ip := interproc.Analyze(m)
 
 	pl, ds := buildPlan(target, file, prog, facts, ip, m, opts)
-	h := &Harness{Report: pl.report(target, opts), Diags: ds}
+	h := &Harness{Report: pl.report(target), Diags: ds}
 	if len(pl.arms) == 0 {
 		h.Report.sortForOutput()
 		return h, nil
 	}
 
-	h.Source = emitSource(src, pl, opts)
+	h.Source = emitSource(src, pl)
 	h.Report.SourceLines = countLines(h.Source)
 
 	mod, cds := certify(target, file, h.Source)
@@ -118,7 +112,6 @@ func Synthesize(target, file, src string, opts Options) (*Harness, error) {
 // targets.Register. The returned error is non-nil when no certified
 // harness could be produced; the Harness is still returned for reporting.
 func TargetFor(base *targets.Target, opts Options) (*targets.Target, *Harness, error) {
-	opts = opts.fill()
 	h, err := Synthesize(base.Name, base.Short+".c", base.Source, opts)
 	if err != nil {
 		return nil, nil, err
@@ -127,7 +120,7 @@ func TargetFor(base *targets.Target, opts Options) (*targets.Target, *Harness, e
 		return nil, h, fmt.Errorf("synth: %s: no certified harness (arms=%d, certified=%v)",
 			base.Name, len(h.Report.Arms), h.Report.Certified)
 	}
-	seeds := synthSeeds(h.Report, base, opts)
+	seeds := synthSeeds(h.Report, base)
 	nt := &targets.Target{
 		Name:        base.Name + "+synth",
 		Short:       base.Short + "_synth",
@@ -136,7 +129,7 @@ func TargetFor(base *targets.Target, opts Options) (*targets.Target, *Harness, e
 		ImagePages:  base.ImagePages,
 		Source:      h.Source,
 		Seeds:       func() [][]byte { return cloneSeeds(seeds) },
-		MaxInputLen: opts.BufCap,
+		MaxInputLen: DefaultBufCap,
 		Aux:         true,
 		Dict:        append([]string(nil), base.Dict...),
 	}
@@ -146,14 +139,14 @@ func TargetFor(base *targets.Target, opts Options) (*targets.Target, *Harness, e
 // synthSeeds builds one deterministic seed per dispatch arm: the selector
 // byte, each scalar parameter's hint value at its header offset, zero-fill
 // to the header boundary, then the base target's first seed as payload.
-func synthSeeds(rep *Report, base *targets.Target, opts Options) [][]byte {
+func synthSeeds(rep *Report, base *targets.Target) [][]byte {
 	var payload []byte
 	if base.Seeds != nil {
 		if bs := base.Seeds(); len(bs) > 0 {
 			payload = bs[0]
 		}
 	}
-	if max := opts.BufCap - rep.HdrBytes; len(payload) > max {
+	if max := DefaultBufCap - rep.HdrBytes; len(payload) > max {
 		payload = payload[:max]
 	}
 	seeds := make([][]byte, 0, len(rep.Arms))

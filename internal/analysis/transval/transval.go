@@ -24,7 +24,7 @@
 // equivalence only on the inputs a campaign happens to execute, a
 // certificate covers every path of every compiled function before the
 // first exec — which is why -backend=compiled refuses to run an
-// uncertified module unless -transval=off.
+// uncertified module.
 package transval
 
 import (

@@ -7,6 +7,7 @@ import (
 	"closurex/internal/faultinject"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
+	"closurex/internal/vm/compile"
 )
 
 // The compiled execution tier's campaign-level contract (DESIGN.md §13):
@@ -128,7 +129,7 @@ func TestBackendDifferentialMatrix(t *testing.T) {
 				tgt := tgt
 				t.Run(tgt.Short, func(t *testing.T) {
 					interp := observeBackendCampaign(t, tgt, vm.InterpBackend, mode)
-					compiled := observeBackendCampaign(t, tgt, CompiledBackend, mode)
+					compiled := observeBackendCampaign(t, tgt, compile.BackendName, mode)
 					diffBackendObs(t, tgt, mode.name, interp, compiled)
 				})
 			}
@@ -146,8 +147,8 @@ func TestCompiledCampaignDeterminism(t *testing.T) {
 		tgt := tgt
 		t.Run(tgt.Short, func(t *testing.T) {
 			mode := backendMode{"plain", func() InstanceOptions { return InstanceOptions{} }}
-			a := observeBackendCampaign(t, tgt, CompiledBackend, mode)
-			b := observeBackendCampaign(t, tgt, CompiledBackend, mode)
+			a := observeBackendCampaign(t, tgt, compile.BackendName, mode)
+			b := observeBackendCampaign(t, tgt, compile.BackendName, mode)
 			diffBackendObs(t, tgt, "determinism", a, b)
 		})
 	}
@@ -157,7 +158,7 @@ func TestCompiledCampaignDeterminism(t *testing.T) {
 // replays every probe on the other backend: any semantic gap between the
 // tiers would surface as a sentinel divergence during the run.
 func TestSentinelCrossBackend(t *testing.T) {
-	for _, backend := range []string{vm.InterpBackend, CompiledBackend} {
+	for _, backend := range []string{vm.InterpBackend, compile.BackendName} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			tgt := targets.Get("gpmf-parser")

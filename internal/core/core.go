@@ -24,6 +24,7 @@ import (
 	"closurex/internal/passes"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
+	"closurex/internal/vm/compile"
 )
 
 // Variant selects an instrumentation pipeline.
@@ -56,6 +57,17 @@ func (v Variant) String() string {
 	return fmt.Sprintf("variant(%d)", int(v))
 }
 
+// ParseVariant maps a variant name, as Variant.String prints it, back to
+// the variant.
+func ParseVariant(s string) (Variant, error) {
+	for _, v := range []Variant{Pristine, Baseline, ClosureX, ClosureXDeferInit} {
+		if v.String() == s {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q", s)
+}
+
 // VariantFor returns the build variant an execution mechanism needs.
 func VariantFor(mechanism string) Variant {
 	if strings.HasPrefix(mechanism, "closurex") {
@@ -72,11 +84,6 @@ func RegisterTarget(t *targets.Target) error { return targets.Register(t) }
 // TargetInitErrors reports registration problems from the built-in target
 // suite's package initialization (empty for a healthy build).
 func TargetInitErrors() []error { return targets.InitErrors() }
-
-// CoverageSeed fixes coverage-probe IDs so both configurations of a trial
-// share the same map geometry (the evaluation holds instrumentation
-// constant across mechanisms).
-const CoverageSeed = 0xC105
 
 // AuditEveryDefault is the -audit-restore cadence: one full-section
 // elision audit per this many iterations (matching the resilience layer's
@@ -140,12 +147,6 @@ func Instrument(m *ir.Module, v Variant) (*ir.Module, error) {
 	return InstrumentWith(m, BuildConfig{Variant: v})
 }
 
-// InstrumentSanitized is Instrument with sanitizer instrumentation woven
-// in (see InstrumentWith for the pass ordering contract).
-func InstrumentSanitized(m *ir.Module, v Variant, san SanitizeMode) (*ir.Module, error) {
-	return InstrumentWith(m, BuildConfig{Variant: v, Sanitize: san})
-}
-
 // InstrumentWith applies the configured pipeline to a clone of m. The
 // ordering contract: InterprocPass runs right after the state-restoration
 // pipeline (its proofs are about the closurex_* call shape that pipeline
@@ -178,17 +179,17 @@ func InstrumentWith(m *ir.Module, cfg BuildConfig) (*ir.Module, error) {
 	case Baseline:
 		pm.Add(passes.RenameMainPass{})
 		addSan()
-		pm.Add(passes.NewCoveragePass(CoverageSeed))
+		pm.Add(passes.NewCoveragePass(passes.CoverageSeed))
 	case ClosureX:
 		pm.Add(passes.ClosureXPipeline(false)...)
 		addInterproc()
 		addSan()
-		pm.Add(passes.NewCoveragePass(CoverageSeed))
+		pm.Add(passes.NewCoveragePass(passes.CoverageSeed))
 	case ClosureXDeferInit:
 		pm.Add(passes.ClosureXPipeline(true)...)
 		addInterproc()
 		addSan()
-		pm.Add(passes.NewCoveragePass(CoverageSeed))
+		pm.Add(passes.NewCoveragePass(passes.CoverageSeed))
 	default:
 		return nil, fmt.Errorf("core: unknown variant %d", int(cfg.Variant))
 	}
@@ -205,11 +206,6 @@ func InstrumentWith(m *ir.Module, cfg BuildConfig) (*ir.Module, error) {
 // Build compiles and instruments in one step.
 func Build(file, src string, v Variant) (*ir.Module, error) {
 	return BuildWith(file, src, BuildConfig{Variant: v})
-}
-
-// BuildSanitized compiles and instruments with the given sanitizer mode.
-func BuildSanitized(file, src string, v Variant, san SanitizeMode) (*ir.Module, error) {
-	return BuildWith(file, src, BuildConfig{Variant: v, Sanitize: san})
 }
 
 // BuildWith compiles and instruments with a full build configuration.
@@ -311,11 +307,9 @@ type InstanceOptions struct {
 	DeferInit bool
 	// Files pre-populates the virtual filesystem (configs etc.).
 	Files map[string][]byte
-	// ImagePagesOverride overrides the target's Table 4 image size; < 0
-	// means "no image" (unit tests), 0 means "use the target's".
-	ImagePagesOverride int
 	// Resilience wraps a "closurex" mechanism in the watchdog/rebuild/
-	// fallback ladder (execmgr.Resilient). Nil leaves the bare mechanism.
+	// fallback ladder (execmgr.Resilient). Nil leaves the bare mechanism;
+	// NewInstance refuses it for any other mechanism.
 	Resilience *execmgr.ResilienceConfig
 	// SentinelEvery arms the divergence sentinel every N campaign
 	// executions: replays under a fresh reference image are cross-checked
@@ -380,16 +374,9 @@ type InstanceOptions struct {
 	// SentinelCrossBackend makes the divergence sentinel's fresh reference
 	// image run on the OTHER backend (compiled when the campaign is
 	// interpreted and vice versa), turning the replay probe into a two-
-	// sided backend differential at campaign runtime. Requires
-	// SentinelEvery > 0 to have any effect.
+	// sided backend differential at campaign runtime. NewInstance refuses
+	// it without SentinelEvery > 0.
 	SentinelCrossBackend bool
-	// TransvalOff skips the translation-validation gate that otherwise
-	// refuses to start any campaign arming the compiled tier (Backend ==
-	// "compiled", or a cross-backend sentinel) on a module whose compiled
-	// program does not certify against the IR (analysis/transval). Escape
-	// hatch only: an uncertified compiled run can diverge from the
-	// interpreter semantics every other result in the repo is stated in.
-	TransvalOff bool
 }
 
 // transvalCheck runs the translation-validation gate over a built module.
@@ -406,20 +393,24 @@ var transvalCheck = func(mod *ir.Module) error {
 // otherBackend maps a backend name to its differential counterpart.
 func otherBackend(name string) string {
 	if name == "" || name == vm.InterpBackend {
-		return CompiledBackend
+		return compile.BackendName
 	}
 	return vm.InterpBackend
 }
 
-// CompiledBackend names the closure-chain execution tier registered by
-// internal/vm/compile (imported via execmgr).
-const CompiledBackend = "compiled"
-
 // NewInstance builds target t for the named mechanism and wires a
-// campaign seeded with the target's corpus.
+// campaign seeded with the target's corpus. Every process image gets t's
+// ImagePages; a caller that wants none passes a copy of t with
+// ImagePages 0.
 func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*Instance, error) {
 	if t == nil {
 		return nil, fmt.Errorf("core: nil target")
+	}
+	if opts.Resilience != nil && mechanism != "closurex" {
+		return nil, fmt.Errorf("core: the resilience ladder wraps only the closurex mechanism, not %q", mechanism)
+	}
+	if opts.SentinelCrossBackend && opts.SentinelEvery <= 0 {
+		return nil, fmt.Errorf("core: a cross-backend sentinel needs SentinelEvery > 0")
 	}
 	variant := VariantFor(mechanism)
 	if variant == ClosureX && opts.DeferInit {
@@ -437,10 +428,10 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	// cross-check against) the compiled closure-chain tier must not start
 	// on a module whose compiled program fails to certify against the IR.
 	// The check is static and runs once per instance, before any input
-	// executes; -transval=off bypasses it explicitly.
-	if !opts.TransvalOff && (opts.Backend == CompiledBackend || opts.SentinelCrossBackend) {
+	// executes.
+	if opts.Backend == compile.BackendName || opts.SentinelCrossBackend {
 		if terr := transvalCheck(mod); terr != nil {
-			return nil, fmt.Errorf("core: %s: compiled tier uncertified (rerun with -transval=off to override): %w",
+			return nil, fmt.Errorf("core: %s: compiled tier uncertified (rerun with -backend=interp and no -sentinel-cross-backend): %w",
 				t.Name, terr)
 		}
 	}
@@ -456,12 +447,17 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		}
 		hopts = &h
 	}
-	pages := t.ImagePages
-	switch {
-	case opts.ImagePagesOverride > 0:
-		pages = opts.ImagePagesOverride
-	case opts.ImagePagesOverride < 0:
-		pages = 0
+	// base is every process image's VM configuration; each image sets its
+	// own CovMap and RandSeed on a copy.
+	base := vm.Options{
+		Budget:            opts.Budget,
+		Files:             opts.Files,
+		ImagePages:        t.ImagePages,
+		DeterministicRand: opts.DeterministicRand,
+		TraceEdges:        opts.TraceEdges,
+		Injector:          opts.Injector,
+		Sanitize:          opts.Sanitize.Enabled(),
+		Backend:           opts.Backend,
 	}
 	// newMech builds one execution mechanism over the shared instrumented
 	// module. Every shard of a parallel instance gets its own: VM memory
@@ -469,21 +465,9 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	// never be shared across shard goroutines. randSeed varies per shard
 	// (ShardSeed) so heap ASLR and target rand() streams are independent.
 	newMech := func(cov []byte, randSeed uint64) (execmgr.Mechanism, error) {
-		mcfg := execmgr.Config{
-			Module:            mod,
-			CovMap:            cov,
-			Budget:            opts.Budget,
-			ImagePages:        pages,
-			TraceEdges:        opts.TraceEdges,
-			HarnessOpts:       hopts,
-			Files:             opts.Files,
-			Injector:          opts.Injector,
-			DeterministicRand: opts.DeterministicRand,
-			RandSeed:          randSeed,
-			Sanitize:          opts.Sanitize.Enabled(),
-			Backend:           opts.Backend,
-		}
-		if opts.Resilience != nil && mechanism == "closurex" {
+		mcfg := execmgr.Config{Options: base, Module: mod, HarnessOpts: hopts}
+		mcfg.CovMap, mcfg.RandSeed = cov, randSeed
+		if opts.Resilience != nil {
 			return execmgr.NewResilient(mcfg, *opts.Resilience)
 		}
 		return execmgr.New(mechanism, mcfg)
@@ -492,28 +476,22 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	// replays each probe in a brand-new process image of the SAME
 	// instrumented module, so both coverage maps share probe geometry.
 	// Image pages are skipped: the reference models fresh semantics, not
-	// fresh cost. Its PRNG seed matches the probed mechanism's so
-	// rand()/heap-ASLR streams cannot masquerade as divergence (the §6.1.4
-	// nondeterminism masking, done by construction).
+	// fresh cost. It neither traces edges nor injects faults. Its PRNG seed
+	// matches the probed mechanism's so rand()/heap-ASLR streams cannot
+	// masquerade as divergence (the §6.1.4 nondeterminism masking, done by
+	// construction).
 	newSentinel := func(mech execmgr.Mechanism, randSeed uint64) (*fuzz.SentinelConfig, error) {
-		refBackend := opts.Backend
+		refCov := vm.NewCovMap()
+		rcfg := execmgr.Config{Options: base, Module: mod}
+		rcfg.CovMap, rcfg.RandSeed = refCov, randSeed
+		rcfg.ImagePages, rcfg.TraceEdges, rcfg.Injector = 0, false, nil
 		if opts.SentinelCrossBackend {
 			// Two-sided differential: the reference replays every probe on
 			// the other execution backend, so any interp/compiled semantic
 			// gap surfaces as sentinel divergence during the campaign.
-			refBackend = otherBackend(opts.Backend)
+			rcfg.Backend = otherBackend(opts.Backend)
 		}
-		refCov := vm.NewCovMap()
-		ref, rerr := execmgr.NewFresh(execmgr.Config{
-			Module:            mod,
-			CovMap:            refCov,
-			Budget:            opts.Budget,
-			Files:             opts.Files,
-			DeterministicRand: opts.DeterministicRand,
-			RandSeed:          randSeed,
-			Sanitize:          opts.Sanitize.Enabled(),
-			Backend:           refBackend,
-		})
+		ref, rerr := execmgr.NewFresh(rcfg)
 		if rerr != nil {
 			return nil, fmt.Errorf("core: sentinel reference: %w", rerr)
 		}

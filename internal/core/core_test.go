@@ -88,6 +88,14 @@ func TestVariantStringAndFor(t *testing.T) {
 	}
 }
 
+// noImage returns a copy of t whose process images materialize no image
+// pages, for tests that measure nothing about image cost.
+func noImage(t *targets.Target) *targets.Target {
+	c := *t
+	c.ImagePages = 0
+	return &c
+}
+
 func TestBuildRejectsBadSource(t *testing.T) {
 	if _, err := Build("bad.c", "int main(void) { return nope; }", Baseline); err == nil {
 		t.Fatal("bad source built")
@@ -97,7 +105,7 @@ func TestBuildRejectsBadSource(t *testing.T) {
 func TestNewInstanceAcrossMechanisms(t *testing.T) {
 	tg := targets.Get("giftext")
 	for _, mech := range []string{"fresh", "forkserver", "persistent-naive", "closurex"} {
-		inst, err := NewInstance(tg, mech, InstanceOptions{TrialSeed: 1, ImagePagesOverride: -1})
+		inst, err := NewInstance(noImage(tg), mech, InstanceOptions{TrialSeed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", mech, err)
 		}
@@ -121,8 +129,8 @@ func TestNewInstanceAcrossMechanisms(t *testing.T) {
 // so the campaigns end with equal bitmaps and queues.
 func TestForkserverDeterministicRandReproducible(t *testing.T) {
 	run := func() ([]byte, [][]byte) {
-		inst, err := NewInstance(targets.Get("freetype"), "forkserver",
-			InstanceOptions{TrialSeed: 5, ImagePagesOverride: -1, DeterministicRand: true})
+		inst, err := NewInstance(noImage(targets.Get("freetype")), "forkserver",
+			InstanceOptions{TrialSeed: 5, DeterministicRand: true})
 		if err != nil {
 			t.Fatal(err)
 		}

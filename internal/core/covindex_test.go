@@ -48,7 +48,7 @@ func TestCovIndexInvariantMechanisms(t *testing.T) {
 	tg := targets.Get("giftext")
 	for _, mech := range []string{"closurex", "forkserver", "fresh", "resilient"} {
 		t.Run(mech, func(t *testing.T) {
-			opts := InstanceOptions{TrialSeed: 1, ImagePagesOverride: -1}
+			opts := InstanceOptions{TrialSeed: 1}
 			name := mech
 			if mech == "resilient" {
 				name = "closurex"
@@ -57,7 +57,7 @@ func TestCovIndexInvariantMechanisms(t *testing.T) {
 				opts.Injector = faultinject.New(1)
 				opts.Injector.FailAfter(faultinject.RestoreGlobals, 50, -1)
 			}
-			in, err := NewInstance(tg, name, opts)
+			in, err := NewInstance(noImage(tg), name, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestCovIndexInvariantShardRebuild(t *testing.T) {
 	}
 	var checked, built atomic.Int64
 	newMech := func(cov []byte, randSeed uint64) (execmgr.Mechanism, error) {
-		m, err := execmgr.New("closurex", execmgr.Config{Module: mod, CovMap: cov, RandSeed: randSeed})
+		m, err := execmgr.New("closurex", execmgr.Config{Module: mod, Options: vm.Options{CovMap: cov, RandSeed: randSeed}})
 		if err != nil {
 			return nil, err
 		}

@@ -97,7 +97,7 @@ func TestLintVerdictMatchesRuntimeBehavior(t *testing.T) {
 	defective := pristine.Clone()
 	pm := passes.NewManager(vm.Builtins())
 	pm.Add(passes.RenameMainPass{}, passes.ExitPass{}, passes.HeapPass{}, passes.FilePass{})
-	pm.Add(passes.NewCoveragePass(CoverageSeed))
+	pm.Add(passes.NewCoveragePass(passes.CoverageSeed))
 	if err := pm.Run(defective); err != nil {
 		t.Fatal(err)
 	}

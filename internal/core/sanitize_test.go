@@ -18,7 +18,7 @@ func TestElisionRateOnExampleTargets(t *testing.T) {
 		if tg == nil {
 			t.Fatalf("target %s not registered", name)
 		}
-		m, err := BuildSanitized(tg.Short+".c", tg.Source, ClosureX, SanitizeElide)
+		m, err := BuildWith(tg.Short+".c", tg.Source, BuildConfig{Variant: ClosureX, Sanitize: SanitizeElide})
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)
 		}
@@ -39,7 +39,7 @@ func TestElisionRateOnExampleTargets(t *testing.T) {
 func TestSanitizeModesShareCoverageGeometry(t *testing.T) {
 	tg := targets.Get("sandefect")
 	probes := func(san SanitizeMode) []int64 {
-		m, err := BuildSanitized(tg.Short+".c", tg.Source, ClosureX, san)
+		m, err := BuildWith(tg.Short+".c", tg.Source, BuildConfig{Variant: ClosureX, Sanitize: san})
 		if err != nil {
 			t.Fatalf("build mode %v: %v", san, err)
 		}
@@ -72,7 +72,7 @@ func TestSanitizeModesShareCoverageGeometry(t *testing.T) {
 // sanitized ClosureX builds (CLX111-113 run as part of the verifier).
 func TestSanitizedModulePassesCheckModule(t *testing.T) {
 	for _, tg := range targets.All() {
-		m, err := BuildSanitized(tg.Short+".c", tg.Source, ClosureX, SanitizeElide)
+		m, err := BuildWith(tg.Short+".c", tg.Source, BuildConfig{Variant: ClosureX, Sanitize: SanitizeElide})
 		if err != nil {
 			t.Fatalf("build %s: %v", tg.Name, err)
 		}
@@ -85,7 +85,7 @@ func TestSanitizedModulePassesCheckModule(t *testing.T) {
 // TestElideRateNoElideModeIsZero: SanitizeNoElide must not mark anything.
 func TestElideRateNoElideModeIsZero(t *testing.T) {
 	tg := targets.Get("sandefect")
-	m, err := BuildSanitized(tg.Short+".c", tg.Source, ClosureX, SanitizeNoElide)
+	m, err := BuildWith(tg.Short+".c", tg.Source, BuildConfig{Variant: ClosureX, Sanitize: SanitizeNoElide})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,13 @@ import (
 	"closurex/internal/ir"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
+	"closurex/internal/vm/compile"
 )
 
 // The translation-validation gate's campaign-level contract: a campaign
 // that will execute (or cross-check against) the compiled tier runs the
-// static equivalence check before any input executes, and TransvalOff is
-// the only bypass.
+// static equivalence check before any input executes, and cannot be
+// bypassed.
 
 // TestTransvalGateCertifiedStart: every registered target certifies, so
 // arming the compiled tier — directly and via the cross-backend sentinel —
@@ -24,7 +25,7 @@ func TestTransvalGateCertifiedStart(t *testing.T) {
 		t.Fatal("gpmf-parser not registered")
 	}
 	for _, opts := range []InstanceOptions{
-		{Backend: CompiledBackend},
+		{Backend: compile.BackendName},
 		{Backend: vm.InterpBackend, SentinelCrossBackend: true, SentinelEvery: 100, DeterministicRand: true},
 	} {
 		opts.TrialSeed = 1
@@ -39,8 +40,7 @@ func TestTransvalGateCertifiedStart(t *testing.T) {
 
 // TestTransvalGateUncertifiedRefusal drives the refusal path: a module
 // rejected by transval must stop NewInstance before any execution, with a
-// message pointing at the -transval=off escape hatch, and TransvalOff must
-// bypass the same check.
+// message pointing at the interpreter backend.
 func TestTransvalGateUncertifiedRefusal(t *testing.T) {
 	tgt := targets.Get("gpmf-parser")
 	if tgt == nil {
@@ -56,10 +56,10 @@ func TestTransvalGateUncertifiedRefusal(t *testing.T) {
 		calls++
 		return errors.New("forced certification failure")
 	}
-	if _, err := NewInstance(tgt, "closurex", InstanceOptions{TrialSeed: 1, Backend: CompiledBackend}); err == nil {
+	if _, err := NewInstance(tgt, "closurex", InstanceOptions{TrialSeed: 1, Backend: compile.BackendName}); err == nil {
 		t.Fatal("gate passed an uncertified module")
-	} else if !strings.Contains(err.Error(), "-transval=off") {
-		t.Fatalf("refusal does not name the escape hatch: %v", err)
+	} else if !strings.Contains(err.Error(), "-backend=interp") {
+		t.Fatalf("refusal does not name the interpreter backend: %v", err)
 	}
 	if calls != 1 {
 		t.Fatalf("gate ran %d times, want 1", calls)
@@ -72,14 +72,5 @@ func TestTransvalGateUncertifiedRefusal(t *testing.T) {
 	inst.Close()
 	if calls != 1 {
 		t.Fatalf("gate ran for an interpreter campaign (%d calls)", calls)
-	}
-	// TransvalOff bypasses the gate even while the checker rejects.
-	inst, err = NewInstance(tgt, "closurex", InstanceOptions{TrialSeed: 1, Backend: CompiledBackend, TransvalOff: true})
-	if err != nil {
-		t.Fatalf("TransvalOff did not bypass the gate: %v", err)
-	}
-	inst.Close()
-	if calls != 1 {
-		t.Fatalf("gate ran under TransvalOff (%d calls)", calls)
 	}
 }

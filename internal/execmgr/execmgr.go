@@ -15,7 +15,6 @@ package execmgr
 import (
 	"fmt"
 
-	"closurex/internal/faultinject"
 	"closurex/internal/harness"
 	"closurex/internal/ir"
 	"closurex/internal/passes"
@@ -28,59 +27,20 @@ import (
 
 // Config describes how to run a target under any mechanism.
 type Config struct {
+	// Options configures every VM the mechanism builds: template, forks
+	// and respawns. Options.Injector also arms the harness restore paths
+	// when HarnessOpts leaves its own Injector nil.
+	vm.Options
 	// Module must already be instrumented (at minimum RenameMainPass +
 	// CoveragePass; the ClosureX mechanism additionally requires the full
 	// pipeline so its hooks are in place).
 	Module *ir.Module
-	// CovMap receives AFL-style hit counts (64 KiB); may be nil.
-	CovMap []byte
-	// Budget bounds instructions per execution (hang detection).
-	Budget int64
-	// Files pre-populates the VFS (configs etc.; the input is per-exec).
-	Files map[string][]byte
-	// FDLimit overrides the descriptor limit.
-	FDLimit int
-	// ImagePages sizes the simulated executable image (Table 4).
-	ImagePages int
-	// TraceEdges enables path-sensitive tracing (correctness study).
-	TraceEdges bool
-	// DeterministicRand/RandSeed pin the rand() builtin.
-	DeterministicRand bool
-	RandSeed          uint64
-	// Sanitize attaches the ASan-style shadow plane to every VM this
-	// mechanism builds. The module should carry SanitizerPass checks too
-	// (shadow alone only enriches allocator-detected faults).
-	Sanitize bool
 	// HarnessOpts selects which state ClosureX restores (ablations).
-	// Zero value means harness.FullRestore().
+	// Nil means harness.FullRestore().
 	HarnessOpts *harness.Options
 	// RestartEvery bounds iterations per persistent process, like
 	// __AFL_LOOP(1000). Applies to PersistentNaive. Default 1000.
 	RestartEvery int
-	// Injector arms deterministic fault injection in the VM (heap, files)
-	// and the harness restore paths; nil injects nothing.
-	Injector *faultinject.Injector
-	// Backend selects the VM execution engine ("" or "interp" for the
-	// reference interpreter, "compiled" for the closure-chain tier). Every
-	// VM the mechanism builds — template, forks, respawns — uses it.
-	Backend string
-}
-
-func (c *Config) vmOptions() vm.Options {
-	return vm.Options{
-		CovMap:            c.CovMap,
-		Budget:            c.Budget,
-		Files:             c.Files,
-		FDLimit:           c.FDLimit,
-		PageLimit:         0,
-		ImagePages:        c.ImagePages,
-		TraceEdges:        c.TraceEdges,
-		DeterministicRand: c.DeterministicRand,
-		RandSeed:          c.RandSeed,
-		Sanitize:          c.Sanitize,
-		Injector:          c.Injector,
-		Backend:           c.Backend,
-	}
 }
 
 // Mechanism runs test cases under one execution strategy.
@@ -160,7 +120,7 @@ func (f *Fresh) Name() string { return "fresh" }
 
 // Execute implements Mechanism.
 func (f *Fresh) Execute(input []byte) vm.Result {
-	v, err := vm.New(f.cfg.Module, f.cfg.vmOptions())
+	v, err := vm.New(f.cfg.Module, f.cfg.Options)
 	if err != nil {
 		return vm.Result{Fault: &vm.Fault{Kind: vm.FaultOOM, Fn: "loader", Msg: err.Error()}}
 	}
@@ -197,7 +157,7 @@ func NewForkServer(cfg Config) (*ForkServer, error) {
 	if err := checkModule(&cfg); err != nil {
 		return nil, err
 	}
-	tmpl, err := vm.New(cfg.Module, cfg.vmOptions())
+	tmpl, err := vm.New(cfg.Module, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +211,7 @@ func NewPersistentNaive(cfg Config) (*PersistentNaive, error) {
 	if cfg.RestartEvery <= 0 {
 		cfg.RestartEvery = 1000
 	}
-	tmpl, err := vm.New(cfg.Module, cfg.vmOptions())
+	tmpl, err := vm.New(cfg.Module, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +290,7 @@ func NewClosureX(cfg Config) (*ClosureX, error) {
 }
 
 func (c *ClosureX) respawn() error {
-	v, err := vm.New(c.cfg.Module, c.cfg.vmOptions())
+	v, err := vm.New(c.cfg.Module, c.cfg.Options)
 	if err != nil {
 		return err
 	}

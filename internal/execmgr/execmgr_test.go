@@ -47,7 +47,7 @@ func buildModule(t *testing.T, src string, closureX bool) *ir.Module {
 		pm.Add(passes.ClosureXPipeline(false)...)
 		pm.Add(passes.NewCoveragePass(1))
 	} else {
-		pm.Add(passes.CoverageOnlyPipeline(1)...)
+		pm.Add(passes.RenameMainPass{}, passes.NewCoveragePass(1))
 	}
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestCoverageFlowsThroughMechanisms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m := buildModule(t, statefulSrc, name == "closurex")
 			cov := make([]byte, 1<<16)
-			mech, err := New(name, Config{Module: m, CovMap: cov})
+			mech, err := New(name, Config{Module: m, Options: vm.Options{CovMap: cov}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func TestThroughputOrdering(t *testing.T) {
 	const pages = 512 // ~2 MiB image, mid-range for Table 4
 	timeN := func(name string, n int) float64 {
 		m := buildModule(t, statefulSrc, name == "closurex")
-		mech, err := New(name, Config{Module: m, ImagePages: pages})
+		mech, err := New(name, Config{Module: m, Options: vm.Options{ImagePages: pages}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,12 +6,13 @@ import (
 
 	"closurex/internal/faultinject"
 	"closurex/internal/fuzz"
+	"closurex/internal/vm"
 )
 
 func newResilient(t *testing.T, inj *faultinject.Injector, rcfg ResilienceConfig, cov []byte) *Resilient {
 	t.Helper()
 	m := buildModule(t, statefulSrc, true)
-	r, err := NewResilient(Config{Module: m, CovMap: cov, Injector: inj}, rcfg)
+	r, err := NewResilient(Config{Module: m, Options: vm.Options{CovMap: cov, Injector: inj}}, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func NewSnapshotLKM(cfg Config) (*SnapshotLKM, error) {
 	if err := checkModule(&cfg); err != nil {
 		return nil, err
 	}
-	tmpl, err := vm.New(cfg.Module, cfg.vmOptions())
+	tmpl, err := vm.New(cfg.Module, cfg.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"closurex/internal/mem"
+	"closurex/internal/vm"
 )
 
 func TestSnapshotRestoresEverything(t *testing.T) {
@@ -41,7 +42,7 @@ func TestSnapshotDirtyPagesBounded(t *testing.T) {
 	// The point of page-granular snapshotting: restore cost tracks what
 	// the test case touched, not the image size.
 	m := buildModule(t, statefulSrc, false)
-	mech, err := New("snapshot-lkm", Config{Module: m, ImagePages: 2048})
+	mech, err := New("snapshot-lkm", Config{Module: m, Options: vm.Options{ImagePages: 2048}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"closurex/internal/core"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
+	"closurex/internal/vm/compile"
 )
 
 // CompileRow is one target's interp-vs-compiled measurement.
@@ -113,7 +114,7 @@ func backendsIdentical(t *targets.Target, seed uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	oc, err := run(CompileBackendName)
+	oc, err := run(compile.BackendName)
 	if err != nil {
 		return false, err
 	}
@@ -141,10 +142,6 @@ func backendsIdentical(t *targets.Target, seed uint64) (bool, error) {
 	return true, nil
 }
 
-// CompileBackendName mirrors core.CompiledBackend for the experiment's
-// reports.
-const CompileBackendName = core.CompiledBackend
-
 // RunCompileSpeedup measures the compiled tier against the interpreter on
 // every registered target (the 10 Table 4 benchmarks plus the sanitizer
 // fixture) and reports per-target throughput, the geometric-mean speedup,
@@ -165,7 +162,7 @@ func RunCompileSpeedup(execsPerTarget int64, seed uint64) (*CompileReport, error
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s interp: %w", t.Name, err)
 		}
-		compiled, err := measureBackend(t, CompileBackendName, execsPerTarget, seed)
+		compiled, err := measureBackend(t, compile.BackendName, execsPerTarget, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s compiled: %w", t.Name, err)
 		}

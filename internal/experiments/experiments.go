@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"closurex/internal/core"
+	"closurex/internal/passes"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
 )
@@ -109,7 +110,7 @@ func bugKeys(t *targets.Target) (map[string]string, error) {
 			return nil, err
 		}
 		v.SetInput(bug.Trigger)
-		res := v.Call("target_main")
+		res := v.Call(passes.TargetMain)
 		if res.Fault == nil {
 			return nil, fmt.Errorf("experiments: trigger for %s does not crash", bug.ID)
 		}
@@ -206,9 +207,12 @@ func meanExecs(rs []TrialResult) float64 {
 }
 
 // fuzzQueue builds a corpus for the correctness study via a short ClosureX
-// campaign (the paper replays "the comprehensive test case queue").
+// campaign (the paper replays "the comprehensive test case queue"). The
+// campaign's images carry no image pages: only the queue is kept.
 func fuzzQueue(t *targets.Target, execs int64, seed uint64) ([][]byte, error) {
-	inst, err := core.NewInstance(t, MechClosureX, core.InstanceOptions{TrialSeed: seed, ImagePagesOverride: -1})
+	noImage := *t
+	noImage.ImagePages = 0
+	inst, err := core.NewInstance(&noImage, MechClosureX, core.InstanceOptions{TrialSeed: seed})
 	if err != nil {
 		return nil, err
 	}

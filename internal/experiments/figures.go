@@ -53,7 +53,7 @@ func RunSpectrum(imagePages int, n int) ([]SpectrumRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mech, err := execmgr.New(name, execmgr.Config{Module: mod, ImagePages: imagePages})
+		mech, err := execmgr.New(name, execmgr.Config{Module: mod, Options: vm.Options{ImagePages: imagePages}})
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,7 @@ import (
 	"closurex/internal/core"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
+	"closurex/internal/vm/compile"
 )
 
 // ScalingRow is one shard-count point of the parallel-scaling experiment.
@@ -149,7 +150,7 @@ func RunParallelScaling(target string, jobsList []int, execsPerPoint int64, seed
 		ExecsPerJ:  execsPerPoint,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	for _, backend := range []string{vm.InterpBackend, CompileBackendName} {
+	for _, backend := range []string{vm.InterpBackend, compile.BackendName} {
 		rows, err := scalingSweep(t, backend, jobsList, execsPerPoint, seed)
 		if err != nil {
 			return nil, err

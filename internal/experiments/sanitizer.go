@@ -62,7 +62,7 @@ func RunSanitizerOverhead(target string, execsPerMode int64, seed uint64) (*Sani
 		Mechanism:    MechClosureX,
 		ExecsPerMode: execsPerMode,
 	}
-	mod, err := core.BuildSanitized(t.Short+".c", t.Source, core.ClosureX, core.SanitizeElide)
+	mod, err := core.BuildWith(t.Short+".c", t.Source, core.BuildConfig{Variant: core.ClosureX, Sanitize: core.SanitizeElide})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", target, err)
 	}

@@ -34,6 +34,17 @@ type Crash struct {
 	Count     int64
 }
 
+const (
+	// havocPerSeed is how many mutants are derived from a queue entry per
+	// cycle.
+	havocPerSeed = 24
+	// spliceProb is the x/256 chance a mutant starts from a splice.
+	spliceProb = 40
+	// checkEvery is how many Steps run between deadline/stop polls — the
+	// per-iteration time.Now() cost hoisted out of the hot loop.
+	checkEvery = 64
+)
+
 // Config tunes a campaign.
 type Config struct {
 	// Executor runs test cases; CovMap must be the same buffer the
@@ -50,11 +61,6 @@ type Config struct {
 	Fingerprint string
 	// MaxInputLen bounds mutated inputs (default 4096).
 	MaxInputLen int
-	// HavocPerSeed is how many mutants are derived from a queue entry per
-	// cycle (default 24).
-	HavocPerSeed int
-	// SpliceProb x/256 chance a mutant starts from a splice (default 40).
-	SpliceProb int
 	// Dict supplies format keywords for the dictionary mutators (AFL -x).
 	Dict [][]byte
 	// Stop, when non-nil, requests clean shutdown: RunFor/RunExecs return
@@ -62,10 +68,6 @@ type Config struct {
 	// checkpointable state. This is how a supervisor (signal handler,
 	// fleet controller) stops a campaign without killing the process.
 	Stop <-chan struct{}
-	// CheckEvery is how many Steps run between deadline/stop polls
-	// (default 64) — the per-iteration time.Now() cost hoisted out of the
-	// hot loop.
-	CheckEvery int
 	// Sentinel, when non-nil, arms the divergence sentinel: a periodic
 	// replay of a queue entry under a fresh-process reference executor,
 	// cross-checked against the persistent mechanism (§6.1.4 as a runtime
@@ -110,15 +112,6 @@ type Campaign struct {
 func NewCampaign(cfg Config) *Campaign {
 	if cfg.MaxInputLen <= 0 {
 		cfg.MaxInputLen = 4096
-	}
-	if cfg.HavocPerSeed <= 0 {
-		cfg.HavocPerSeed = 24
-	}
-	if cfg.SpliceProb <= 0 {
-		cfg.SpliceProb = 40
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 64
 	}
 	if cfg.Sentinel != nil {
 		cfg.Sentinel.setDefaults()
@@ -214,11 +207,11 @@ func (c *Campaign) Step() int64 {
 	if c.burst == 0 {
 		c.cur = c.queue[c.cursor%len(c.queue)]
 		c.cursor++
-		c.burst = c.cfg.HavocPerSeed
+		c.burst = havocPerSeed
 	}
 	c.burst--
 	var input []byte
-	if len(c.queue) > 1 && c.rng.Intn(256) < c.cfg.SpliceProb {
+	if len(c.queue) > 1 && c.rng.Intn(256) < spliceProb {
 		other := c.queue[c.rng.Intn(len(c.queue))]
 		input = c.mut.Splice(c.cur.Input, other.Input)
 	} else {
@@ -246,12 +239,12 @@ func (c *Campaign) stopRequested() bool {
 }
 
 // RunFor drives the campaign until d has elapsed or the stop channel
-// closes. The deadline and stop checks run every CheckEvery steps, keeping
+// closes. The deadline and stop checks run every checkEvery steps, keeping
 // time.Now() and channel polling out of the per-iteration hot path.
 func (c *Campaign) RunFor(d time.Duration) {
 	deadline := time.Now().Add(d)
 	for {
-		for i := 0; i < c.cfg.CheckEvery; i++ {
+		for i := 0; i < checkEvery; i++ {
 			c.Step()
 		}
 		if c.stopRequested() || time.Now().After(deadline) {
@@ -261,12 +254,12 @@ func (c *Campaign) RunFor(d time.Duration) {
 }
 
 // RunExecs drives the campaign until at least n executions have happened
-// or the stop channel closes (checked every CheckEvery steps).
+// or the stop channel closes (checked every checkEvery steps).
 func (c *Campaign) RunExecs(n int64) {
 	steps := 0
 	for c.execs < n {
 		c.Step()
-		if steps++; steps >= c.cfg.CheckEvery {
+		if steps++; steps >= checkEvery {
 			steps = 0
 			if c.stopRequested() {
 				return

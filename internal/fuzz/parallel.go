@@ -153,15 +153,12 @@ type ParallelConfig struct {
 	// Shards supplies one executor+covmap per shard; len(Shards) is J.
 	Shards []ShardConfig
 	// Seed is the trial seed; shard j fuzzes with ShardSeed(Seed, j).
-	Seed         uint64
-	Fingerprint  string
-	Seeds        [][]byte
-	MaxInputLen  int
-	HavocPerSeed int
-	SpliceProb   int
-	Dict         [][]byte
-	Stop         <-chan struct{}
-	CheckEvery   int
+	Seed        uint64
+	Fingerprint string
+	Seeds       [][]byte
+	MaxInputLen int
+	Dict        [][]byte
+	Stop        <-chan struct{}
 	// SyncEvery is how many executions a shard runs between sync boundaries
 	// (bitmap merge, corpus publish, inbox drain). Default 256. Lower means
 	// faster cross-shard corpus propagation, higher means less merge
@@ -250,6 +247,22 @@ type ParallelCampaign struct {
 	running bool
 }
 
+// shardConfig is shard j's sequential campaign configuration, with sent
+// as its divergence sentinel.
+func (cfg *ParallelConfig) shardConfig(j int, sent *SentinelConfig) Config {
+	return Config{
+		Executor:    cfg.Shards[j].Executor,
+		CovMap:      cfg.Shards[j].CovMap,
+		Seeds:       cfg.Seeds,
+		Seed:        ShardSeed(cfg.Seed, j),
+		Fingerprint: cfg.Fingerprint,
+		MaxInputLen: cfg.MaxInputLen,
+		Dict:        cfg.Dict,
+		Stop:        cfg.Stop,
+		Sentinel:    sent,
+	}
+}
+
 // NewParallelCampaign prepares a parallel campaign over cfg.Shards.
 func NewParallelCampaign(cfg ParallelConfig) (*ParallelCampaign, error) {
 	if len(cfg.Shards) == 0 {
@@ -272,20 +285,7 @@ func NewParallelCampaign(cfg ParallelConfig) (*ParallelCampaign, error) {
 		if j == 0 {
 			sent = cfg.Sentinel
 		}
-		c := NewCampaign(Config{
-			Executor:     sc.Executor,
-			CovMap:       sc.CovMap,
-			Seeds:        cfg.Seeds,
-			Seed:         ShardSeed(cfg.Seed, j),
-			Fingerprint:  cfg.Fingerprint,
-			MaxInputLen:  cfg.MaxInputLen,
-			HavocPerSeed: cfg.HavocPerSeed,
-			SpliceProb:   cfg.SpliceProb,
-			Dict:         cfg.Dict,
-			Stop:         cfg.Stop,
-			CheckEvery:   cfg.CheckEvery,
-			Sentinel:     sent,
-		})
+		c := NewCampaign(cfg.shardConfig(j, sent))
 		p.shards = append(p.shards, &shard{id: j, c: c, rebuild: sc.Rebuild, have: make(map[string]struct{})})
 	}
 	// Every shard bootstraps the same seed corpus itself; pre-seeding the
@@ -361,7 +361,7 @@ func (p *ParallelCampaign) syncShard(sh *shard, pub chan<- corpusMsg) {
 // regular-boundary form is non-blocking: if the manager's channel is full
 // the entries stay pending and the shard keeps fuzzing (backpressure is a
 // counter, not a stall). The final form (quiescence, quarantine) blocks up
-// to PublishTimeout so redistribution survives a slow manager without ever
+// to publishTimeout so redistribution survives a slow manager without ever
 // deadlocking on a dead one.
 func (p *ParallelCampaign) flushPublishes(sh *shard, pub chan<- corpusMsg, final bool) {
 	h := &p.health[sh.id]
@@ -372,14 +372,14 @@ func (p *ParallelCampaign) flushPublishes(sh *shard, pub chan<- corpusMsg, final
 	}
 	msg := corpusMsg{from: sh.id, entries: sh.pendingPub}
 	if final {
-		t := time.NewTimer(p.sup.PublishTimeout)
+		t := time.NewTimer(publishTimeout)
 		defer t.Stop()
 		select {
 		case pub <- msg:
 			sh.pendingPub = nil
 		case <-t.C:
 			p.eventf(sh.id, sh.c.execs, "publish-timeout",
-				"manager did not accept %d entries within %v; coverage already merged", len(msg.entries), p.sup.PublishTimeout)
+				"manager did not accept %d entries within %v; coverage already merged", len(msg.entries), publishTimeout)
 			sh.pendingPub = nil
 		}
 	} else {
@@ -419,7 +419,7 @@ func (sh *shard) drainInbox() {
 
 // manager is the corpus-manager goroutine: single consumer of the publish
 // channel, owner of the global dedup set, broadcaster of originals. Each
-// receiving shard's inbox is bounded by InboxCap: when a stalled shard stops
+// receiving shard's inbox is bounded by inboxCap: when a stalled shard stops
 // draining, its oldest pending imports are shed (and counted) instead of
 // growing the inbox without bound. Shedding is sound — imports are mutation
 // fodder only; their coverage already lives in the global bitmap.
@@ -450,8 +450,8 @@ func (p *ParallelCampaign) manager(pub <-chan corpusMsg, done chan<- struct{}) {
 				}
 				other.inbox.Lock()
 				other.inbox.entries = append(other.inbox.entries, e)
-				if cap := p.sup.InboxCap; cap > 0 && len(other.inbox.entries) > cap {
-					shed := len(other.inbox.entries) - cap
+				if len(other.inbox.entries) > inboxCap {
+					shed := len(other.inbox.entries) - inboxCap
 					other.inbox.entries = append([]*Entry(nil), other.inbox.entries[shed:]...)
 					p.health[other.id].inboxDropped.Add(int64(shed))
 				}
@@ -529,14 +529,14 @@ func (p *ParallelCampaign) othersExecs(sh *shard) int64 {
 }
 
 // RunFor drives every shard until d has elapsed or the stop channel
-// closes. Shards poll deadline/stop every CheckEvery steps, exactly like
+// closes. Shards poll deadline/stop every checkEvery steps, exactly like
 // the sequential RunFor.
 func (p *ParallelCampaign) RunFor(d time.Duration) {
 	deadline := time.Now().Add(d)
 	p.run(func(sh *shard, pub chan<- corpusMsg) {
 		c := sh.c
 		for {
-			for i := 0; i < c.cfg.CheckEvery; i++ {
+			for i := 0; i < checkEvery; i++ {
 				p.step(sh)
 				p.maybeSync(sh, pub)
 			}
@@ -558,7 +558,7 @@ func (p *ParallelCampaign) RunExecs(n int64) {
 		for p.othersExecs(sh)+c.execs < n {
 			p.step(sh)
 			p.maybeSync(sh, pub)
-			if steps++; steps >= c.cfg.CheckEvery {
+			if steps++; steps >= checkEvery {
 				steps = 0
 				if c.stopRequested() {
 					return
@@ -787,20 +787,7 @@ func resumeParallelExact(cfg ParallelConfig, st *parallelState) (*ParallelCampai
 		return nil, err
 	}
 	for j, blob := range st.Shards {
-		c, err := Resume(Config{
-			Executor:     cfg.Shards[j].Executor,
-			CovMap:       cfg.Shards[j].CovMap,
-			Seeds:        cfg.Seeds,
-			Seed:         ShardSeed(cfg.Seed, j),
-			Fingerprint:  cfg.Fingerprint,
-			MaxInputLen:  cfg.MaxInputLen,
-			HavocPerSeed: cfg.HavocPerSeed,
-			SpliceProb:   cfg.SpliceProb,
-			Dict:         cfg.Dict,
-			Stop:         cfg.Stop,
-			CheckEvery:   cfg.CheckEvery,
-			Sentinel:     p.shards[j].c.cfg.Sentinel,
-		}, blob)
+		c, err := Resume(cfg.shardConfig(j, p.shards[j].c.cfg.Sentinel), blob)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", j, err)
 		}

@@ -94,8 +94,8 @@ func TestStopChannelHaltsRuns(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 	// Both loops stop at the next coarse-check boundary, not instantly:
-	// the stop poll runs every CheckEvery steps.
-	if got := c.Execs() - execsAfterRunFor; got > int64(2*c.cfg.CheckEvery) {
+	// the stop poll runs every checkEvery steps.
+	if got := c.Execs() - execsAfterRunFor; got > int64(2*checkEvery) {
 		t.Fatalf("RunExecs overran the stop by %d execs", got)
 	}
 }

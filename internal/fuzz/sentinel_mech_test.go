@@ -43,7 +43,7 @@ func buildDriftModule(t *testing.T, closureX bool) *ir.Module {
 		pm.Add(passes.ClosureXPipeline(false)...)
 		pm.Add(passes.NewCoveragePass(1))
 	} else {
-		pm.Add(passes.CoverageOnlyPipeline(1)...)
+		pm.Add(passes.RenameMainPass{}, passes.NewCoveragePass(1))
 	}
 	if err := pm.Run(m); err != nil {
 		t.Fatal(err)
@@ -55,13 +55,13 @@ func runSentinelCampaign(t *testing.T, mechName string) *Campaign {
 	t.Helper()
 	m := buildDriftModule(t, mechName == "closurex")
 	cov := make([]byte, MapSize)
-	mech, err := execmgr.New(mechName, execmgr.Config{Module: m, CovMap: cov})
+	mech, err := execmgr.New(mechName, execmgr.Config{Module: m, Options: vm.Options{CovMap: cov}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(mech.Close)
 	refCov := make([]byte, MapSize)
-	ref, err := execmgr.NewFresh(execmgr.Config{Module: m, CovMap: refCov})
+	ref, err := execmgr.NewFresh(execmgr.Config{Module: m, Options: vm.Options{CovMap: refCov}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,19 @@ import (
 	"closurex/internal/faultinject"
 )
 
+const (
+	// inboxCap bounds each shard's import inbox; when a shard stalls and
+	// stops draining, the manager drops its oldest pending imports instead
+	// of growing without bound. Dropped imports are mutation fodder only —
+	// their coverage already lives in the global bitmap — so dropping is
+	// always sound.
+	inboxCap = 4096
+	// publishTimeout bounds the blocking corpus flush at a shard's final
+	// sync boundary (quarantine or campaign end); a manager wedged longer
+	// than this loses the flush rather than deadlocking the fleet.
+	publishTimeout = 2 * time.Second
+)
+
 // SupervisorConfig tunes the per-shard supervision ladder.
 type SupervisorConfig struct {
 	// MaxRestarts is how many consecutive plain restarts a shard gets
@@ -54,17 +67,6 @@ type SupervisorConfig struct {
 	// preempted in-process — but the mark surfaces through Health and the
 	// event log so operators and the stats emitter see it.
 	HangAfter time.Duration
-	// InboxCap bounds each shard's import inbox; when a shard stalls and
-	// stops draining, the manager drops its oldest pending imports instead
-	// of growing without bound (default 4096; < 0 unbounded). Dropped
-	// imports are mutation fodder only — their coverage already lives in
-	// the global bitmap — so dropping is always sound.
-	InboxCap int
-	// PublishTimeout bounds the blocking corpus flush at a shard's final
-	// sync boundary (quarantine or campaign end); a manager wedged longer
-	// than this loses the flush rather than deadlocking the fleet
-	// (default 2s).
-	PublishTimeout time.Duration
 	// Injector arms chaos injection in the parallel layer: shard kills,
 	// restore corruption, corpus-channel delay/drop. Nil injects nothing
 	// and keeps the per-step probe to a single nil check.
@@ -80,12 +82,6 @@ func (s *SupervisorConfig) setDefaults() {
 	}
 	if s.HangAfter == 0 {
 		s.HangAfter = 10 * time.Second
-	}
-	if s.InboxCap == 0 {
-		s.InboxCap = 4096
-	}
-	if s.PublishTimeout <= 0 {
-		s.PublishTimeout = 2 * time.Second
 	}
 }
 

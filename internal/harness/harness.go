@@ -44,9 +44,6 @@ type Options struct {
 	RestoreGlobals bool
 	ResetHeap      bool
 	CloseFiles     bool
-	// RunDeferredInit invokes passes.InitFunc once before the loop and
-	// marks the resulting heap/FD state as persistent (DeferInitPass).
-	RunDeferredInit bool
 	// IncrementalRestore arms page-granular dirty tracking on
 	// closure_global_section: the restore step copies back only the pages
 	// the execution actually wrote instead of the whole snapshot. Restored
@@ -76,7 +73,7 @@ type Options struct {
 // incremental restore fast path armed.
 func FullRestore() Options {
 	return Options{RestoreGlobals: true, ResetHeap: true, CloseFiles: true,
-		RunDeferredInit: true, IncrementalRestore: true}
+		IncrementalRestore: true}
 }
 
 // Stats counts restoration work, for the overhead-breakdown figure.
@@ -152,7 +149,8 @@ type Harness struct {
 	restoreErr error
 }
 
-// New prepares the harness: optionally runs deferred initialization, marks
+// New prepares the harness: runs the module's deferred-initialization
+// routine (passes.InitFunc) once when it has one (DeferInitPass), marks
 // initialization-time heap chunks and descriptors as persistent, and takes
 // the ground-truth snapshot of closure_global_section (Figure 4, left).
 func New(v *vm.VM, opts Options) (*Harness, error) {
@@ -160,7 +158,7 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 	if v.Mod.Func(passes.TargetMain) == nil {
 		return nil, fmt.Errorf("harness: module lacks %s (run the pass pipeline first)", passes.TargetMain)
 	}
-	if opts.RunDeferredInit && v.Mod.Func(passes.InitFunc) != nil {
+	if v.Mod.Func(passes.InitFunc) != nil {
 		res := v.Call(passes.InitFunc)
 		if res.Fault != nil {
 			return nil, fmt.Errorf("harness: deferred init faulted: %v", res.Fault)

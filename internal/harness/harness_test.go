@@ -123,10 +123,11 @@ func TestWithoutFileCleanupFDsExhaust(t *testing.T) {
 	opts := FullRestore()
 	opts.CloseFiles = false
 	m := buildInstrumented(t, statefulSrc)
-	v, err := vm.New(m, vm.Options{FDLimit: 8})
+	v, err := vm.New(m, vm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v.FS.SetFDLimit(8)
 	h, err := New(v, opts)
 	if err != nil {
 		t.Fatal(err)

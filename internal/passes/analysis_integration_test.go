@@ -10,14 +10,6 @@ import (
 	"closurex/internal/vm"
 )
 
-// The entry-point contract string is declared in both packages because
-// analysis sits below passes in the import graph; this pins them together.
-func TestTargetMainContractShared(t *testing.T) {
-	if TargetMain != analysis.TargetMain {
-		t.Fatalf("passes.TargetMain %q != analysis.TargetMain %q", TargetMain, analysis.TargetMain)
-	}
-}
-
 // sectionScramblerPass simulates a buggy pass: it wipes a global's section
 // attribute, a corruption the quick structural ir.Verify gate does not
 // model. Only the deep verify-each sweep can attribute it.

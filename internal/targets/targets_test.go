@@ -254,7 +254,7 @@ func TestFuzzSmokeNoUnexpectedCrashes(t *testing.T) {
 				t.Fatal(err)
 			}
 			cov := make([]byte, fuzz.MapSize)
-			mech, err := execmgr.New("closurex", execmgr.Config{Module: m, CovMap: cov})
+			mech, err := execmgr.New("closurex", execmgr.Config{Module: m, Options: vm.Options{CovMap: cov}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -257,7 +257,8 @@ func TestFDExhaustionThenAbortPattern(t *testing.T) {
 	b.SetBlock(ok)
 	b.Ret(fd)
 	_ = m.AddFunc(b.F)
-	v, _ := New(m, Options{Files: map[string][]byte{vfs.InputPath: []byte("x")}, FDLimit: 4})
+	v, _ := New(m, Options{Files: map[string][]byte{vfs.InputPath: []byte("x")}})
+	v.FS.SetFDLimit(4)
 	var crashed bool
 	for i := 0; i < 10; i++ {
 		res := v.Call("leaky")

@@ -25,7 +25,6 @@ type machine struct {
 	pathLen  *int
 	sp       *uint64
 	depth    *int
-	maxDepth int
 	curFn    **ir.Func
 
 	trace bool
@@ -82,7 +81,6 @@ func newEngine(v *vm.VM, p *program) *engine {
 		pathLen:  h.PathLen,
 		sp:       h.SP,
 		depth:    h.Depth,
-		maxDepth: h.MaxDepth,
 		curFn:    h.CurFn,
 		cov16:    h.Cov,
 		covIdx:   h.CovIdx,
@@ -116,7 +114,7 @@ func (e *engine) Exec(f *ir.Func, args []int64) (int64, error) {
 // remaining budget could hit zero mid-run.
 func (m *machine) execFn(f *cfn, args []int64) (int64, error) {
 	irf := f.irFn
-	if *m.depth >= m.maxDepth {
+	if *m.depth >= vm.DefaultMaxDepth {
 		return 0, &vm.Fault{Kind: vm.FaultStackOverflow, Fn: irf.Name, Msg: "call depth"}
 	}
 	frame := *m.sp

@@ -157,7 +157,6 @@ type EngineHooks struct {
 	PathLen  *int
 	SP       *uint64
 	Depth    *int
-	MaxDepth int
 	CurFn    **ir.Func
 	Cov      *[CovMapSize]byte
 	CovIdx   *[CovIndexSize]byte
@@ -174,7 +173,6 @@ func (v *VM) Hooks() EngineHooks {
 		PathLen:  &v.pathLen,
 		SP:       &v.sp,
 		Depth:    &v.depth,
-		MaxDepth: v.maxDepth,
 		CurFn:    &v.curFn,
 		Cov:      (*[CovMapSize]byte)(v.covMap),
 		CovIdx:   v.covIdx,

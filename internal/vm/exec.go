@@ -58,7 +58,7 @@ func (v *VM) checkAccess(addr uint64, n int, store bool, in *ir.Instr) *Fault {
 // execFunc interprets one function activation. Go-level recursion carries
 // the target's call stack; addressable locals live in the stack segment.
 func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
-	if v.depth >= v.maxDepth {
+	if v.depth >= DefaultMaxDepth {
 		return 0, &Fault{Kind: FaultStackOverflow, Fn: f.Name, Msg: "call depth"}
 	}
 	if v.sp+uint64(f.FrameSize) > StackEnd {

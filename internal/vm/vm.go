@@ -27,7 +27,11 @@ const DefaultMaxDepth = 200
 // to mask out for freetype.
 var aslrCounter atomic.Uint64
 
-// Options configures VM construction.
+// Options configures VM construction. The zero value is a fresh image
+// with the default budget, no coverage map, no image pages and a fresh
+// rand()/ASLR seed on the interpreter. The call depth is bounded by
+// DefaultMaxDepth, resident pages by mem.DefaultPageLimit and open
+// descriptors by vfs.DefaultFDLimit.
 type Options struct {
 	// CovMap, when non-nil, receives AFL-style hit counts; it must be
 	// CovMapSize bytes long or New fails. A map from NewCovMap also gets
@@ -37,14 +41,8 @@ type Options struct {
 	CovMap []byte
 	// Budget overrides DefaultBudget when > 0.
 	Budget int64
-	// MaxDepth overrides DefaultMaxDepth when > 0.
-	MaxDepth int
 	// Files pre-populates the virtual filesystem.
 	Files map[string][]byte
-	// FDLimit overrides the descriptor limit when > 0.
-	FDLimit int
-	// PageLimit overrides the resident-page limit when > 0.
-	PageLimit int
 	// ImagePages materializes that many resident pages of simulated
 	// program image (text + static data) at TextBase, modeling the
 	// executable sizes of Table 4. Loading them is part of fresh-process
@@ -102,7 +100,6 @@ type VM struct {
 
 	budget    int64
 	maxBudget int64
-	maxDepth  int
 	depth     int
 	sp        uint64 // next free frame byte in the stack segment
 
@@ -153,17 +150,13 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	v := &VM{
 		Mod:        mod,
 		Layout:     lay,
-		Mem:        mem.NewMemoryLimit(opts.PageLimit),
+		Mem:        mem.NewMemory(),
 		maxBudget:  opts.Budget,
-		maxDepth:   opts.MaxDepth,
 		traceEdges: opts.TraceEdges,
 		detRand:    opts.DeterministicRand,
 	}
 	if v.maxBudget <= 0 {
 		v.maxBudget = DefaultBudget
-	}
-	if v.maxDepth <= 0 {
-		v.maxDepth = DefaultMaxDepth
 	}
 	if err := v.bindCov(opts.CovMap); err != nil {
 		return nil, err
@@ -196,9 +189,6 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	v.Heap.SetInjector(opts.Injector)
 	v.FS = vfs.New()
 	v.FS.SetInjector(opts.Injector)
-	if opts.FDLimit > 0 {
-		v.FS.SetFDLimit(opts.FDLimit)
-	}
 	for p, d := range opts.Files {
 		v.FS.WriteFile(p, d)
 	}
@@ -272,7 +262,6 @@ func (v *VM) Fork() *VM {
 		covMap:     v.covMap,
 		covIdx:     v.covIdx, // the child shares the map, so its index too
 		maxBudget:  v.maxBudget,
-		maxDepth:   v.maxDepth,
 		traceEdges: v.traceEdges,
 		rngState:   v.rngState,
 		detRand:    v.detRand,
