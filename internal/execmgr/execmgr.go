@@ -265,16 +265,20 @@ func (p *PersistentNaive) Close() {
 // ClosureX runs the whole campaign in one process image, restoring
 // fine-grain state between test cases via the harness. Only a crash forces
 // a process respawn (a sanitizer report aborts the process, as it would
-// under AFL++).
+// under AFL++). Like AFL++ running a persistent target under its
+// forkserver, the mechanism builds one pristine post-init template image
+// that never runs a test case; the running image, and every respawn after
+// a crash, is a copy-on-write fork of it.
 type ClosureX struct {
-	cfg    Config
+	tmpl   *harness.Harness
 	h      *harness.Harness
 	execs  int64
 	spawns int64
 }
 
-// NewClosureX validates that the ClosureX hooks are present and builds the
-// single long-lived image.
+// NewClosureX validates that the ClosureX hooks are present, builds the
+// template image (vm.New + harness.New) and forks the first running image
+// from it.
 func NewClosureX(cfg Config) (*ClosureX, error) {
 	if err := checkModule(&cfg); err != nil {
 		return nil, err
@@ -282,35 +286,34 @@ func NewClosureX(cfg Config) (*ClosureX, error) {
 	if n := countCalls(cfg.Module, "exit"); n > 0 {
 		return nil, fmt.Errorf("execmgr: module has %d unhooked exit() calls; run the ClosureX pipeline", n)
 	}
-	c := &ClosureX{cfg: cfg}
-	if err := c.respawn(); err != nil {
+	v, err := vm.New(cfg.Module, cfg.Options)
+	if err != nil {
 		return nil, err
 	}
+	opts := harness.FullRestore()
+	if cfg.HarnessOpts != nil {
+		opts = *cfg.HarnessOpts
+	}
+	if opts.Injector == nil {
+		opts.Injector = cfg.Injector
+	}
+	tmpl, err := harness.New(v, opts)
+	if err != nil {
+		v.Release()
+		return nil, err
+	}
+	c := &ClosureX{tmpl: tmpl}
+	c.respawn()
 	return c, nil
 }
 
-func (c *ClosureX) respawn() error {
-	v, err := vm.New(c.cfg.Module, c.cfg.Options)
-	if err != nil {
-		return err
-	}
-	opts := harness.FullRestore()
-	if c.cfg.HarnessOpts != nil {
-		opts = *c.cfg.HarnessOpts
-	}
-	if opts.Injector == nil {
-		opts.Injector = c.cfg.Injector
-	}
-	h, err := harness.New(v, opts)
-	if err != nil {
-		return err
-	}
+// respawn replaces the running image with a fresh fork of the template.
+func (c *ClosureX) respawn() {
 	if c.h != nil {
 		c.h.VM().Release()
 	}
-	c.h = h
+	c.h = c.tmpl.Fork()
 	c.spawns++
-	return nil
 }
 
 // Name implements Mechanism.
@@ -321,10 +324,7 @@ func (c *ClosureX) Execute(input []byte) vm.Result {
 	res := c.h.RunOne(input)
 	c.execs++
 	if res.Crashed() {
-		if err := c.respawn(); err != nil {
-			// Leave the old harness in place; subsequent runs still work.
-			return res
-		}
+		c.respawn()
 	}
 	return res
 }
@@ -335,11 +335,15 @@ func (c *ClosureX) Harness() *harness.Harness { return c.h }
 // Execs implements Mechanism.
 func (c *ClosureX) Execs() int64 { return c.execs }
 
-// Spawns implements Mechanism.
+// Spawns implements Mechanism: the running images, first and respawned.
+// The template is built once and never runs, so it does not count.
 func (c *ClosureX) Spawns() int64 { return c.spawns }
 
 // Close implements Mechanism.
-func (c *ClosureX) Close() { c.h.VM().Release() }
+func (c *ClosureX) Close() {
+	c.h.VM().Release()
+	c.tmpl.VM().Release()
+}
 
 // countCalls counts direct calls of name in the module.
 func countCalls(m *ir.Module, name string) int {

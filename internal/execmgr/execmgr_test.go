@@ -36,7 +36,7 @@ int main(void) {
 `
 
 // buildModule compiles src with the pipeline appropriate for mechanism.
-func buildModule(t *testing.T, src string, closureX bool) *ir.Module {
+func buildModule(t testing.TB, src string, closureX bool) *ir.Module {
 	t.Helper()
 	m, err := lower.Compile("t.c", src, vm.Builtins())
 	if err != nil {

@@ -146,7 +146,8 @@ func (r *Resilient) Degrade(reason string) {
 // Degraded reports whether the mechanism has fallen back to the forkserver.
 func (r *Resilient) Degraded() bool { return r.degraded }
 
-// rebuild replaces the persistent image, with exponential backoff on the
+// rebuild replaces the persistent image with a fresh fork of the pristine
+// template (the crash respawn path), with exponential backoff on the
 // watchdog so a flapping image converges to degradation instead of
 // thrashing.
 func (r *Resilient) rebuild(reason string) {
@@ -155,10 +156,7 @@ func (r *Resilient) rebuild(reason string) {
 		r.degrade(fmt.Sprintf("%d consecutive rebuilds; last: %s", r.consecFail-1, reason))
 		return
 	}
-	if err := r.cx.respawn(); err != nil {
-		r.degrade("rebuild failed: " + err.Error())
-		return
-	}
+	r.cx.respawn()
 	r.rebuilds++
 	r.cooldown = r.rcfg.BackoffBase << (r.consecFail - 1)
 	r.sinceCheck = 0

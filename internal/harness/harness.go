@@ -201,6 +201,31 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 	return h, nil
 }
 
+// Fork returns a harness over a copy-on-write fork of h's image, the
+// analogue of AFL++ forking a new persistent child from the post-
+// __AFL_INIT point. The child does not re-run deferred init: it shares
+// h's read-only closure-section, shadow and quarantine snapshots and its
+// elision ranges, and re-arms the closure-section write watch, which
+// vm.Fork does not carry. Its stats start at zero. h must sit at a
+// restore boundary; a template harness that never runs a test case
+// always does.
+func (h *Harness) Fork() *Harness {
+	c := &Harness{
+		v:           h.v.Fork(),
+		opts:        h.opts,
+		globalSnap:  h.globalSnap,
+		verifyBuf:   make([]byte, len(h.globalSnap)),
+		shadowSnap:  h.shadowSnap,
+		quarSnap:    h.quarSnap,
+		elide:       h.elide,
+		elideRanges: h.elideRanges,
+	}
+	if h.incremental {
+		c.incremental = c.v.WatchSection(ir.SectionClosure)
+	}
+	return c
+}
+
 // Incremental reports whether the dirty-tracking restore fast path is
 // active.
 func (h *Harness) Incremental() bool { return h.incremental }

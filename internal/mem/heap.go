@@ -209,6 +209,13 @@ func (h *Heap) Contains(addr uint64) bool { return addr >= h.base && addr < h.en
 // LiveChunks returns the number of live allocations.
 func (h *Heap) LiveChunks() int { return len(h.chunks) }
 
+// Chunks returns a copy of every live chunk, init-persistent or not, in
+// address order (image-equivalence checks).
+func (h *Heap) Chunks() []Chunk { return append([]Chunk(nil), h.chunks...) }
+
+// Brk returns the bump pointer: the first address never handed out.
+func (h *Heap) Brk() uint64 { return h.brk }
+
 // LiveBytes returns the number of live allocated bytes.
 func (h *Heap) LiveBytes() uint64 { return h.bytesAllocated }
 

@@ -15,6 +15,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the granularity of copy-on-write sharing, mirroring a 4 KiB
@@ -94,10 +95,23 @@ func NewMemoryLimit(limit int) *Memory {
 // image that maps them, as in a real page table).
 func (m *Memory) Pages() int { return len(m.pages) }
 
+// MappedPages returns the numbers of every resident page in ascending
+// order (image-equivalence checks; read each one with PageView).
+func (m *Memory) MappedPages() []uint64 {
+	out := make([]uint64, 0, len(m.pages))
+	for pn := range m.pages {
+		out = append(out, pn)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // Fork produces a copy-on-write duplicate of the address space: the page
 // table is copied and every page becomes shared. This is the cost an AFL++
 // forkserver pays per test case; it is O(resident pages) regardless of how
-// little the test case will touch.
+// little the test case will touch. The child has no watch window, whatever
+// the parent's: a caller that needs the write barrier re-arms it with Watch
+// (the ClosureX harness does so in harness.Fork).
 func (m *Memory) Fork() *Memory {
 	child := &Memory{pages: make(map[uint64]*page, len(m.pages)), limit: m.limit}
 	for pn, pg := range m.pages {

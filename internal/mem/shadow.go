@@ -168,11 +168,16 @@ func (s *Shadow) Check(addr uint64, n int) (byte, bool) {
 }
 
 // Clone deep-copies the shadow plane (for VM forks and snapshot restore).
+// An armed dirty-tracking window carries over, same size and empty, so a
+// forked harness image keeps rolling back the shadow pages it mutates.
 func (s *Shadow) Clone() *Shadow {
 	ns := NewShadow(s.base, s.end)
 	for pn, pg := range s.pages {
 		cp := *pg
 		ns.pages[pn] = &cp
+	}
+	if s.watchBits != nil {
+		ns.watchBits = make([]uint64, len(s.watchBits))
 	}
 	return ns
 }

@@ -250,7 +250,9 @@ func (v *VM) SetInput(data []byte) { v.FS.SetInput(data) }
 // Fork clones the image copy-on-write — the forkserver's per-test-case
 // step. The returned child shares pages with the parent until written.
 // Under DeterministicRand the child inherits the parent's rand() state;
-// otherwise it draws fresh entropy, modeling per-process time seeds.
+// otherwise it draws fresh entropy, modeling per-process time seeds. The
+// heap-ASLR base is always inherited, as a real fork() does. The child has
+// no section watch window (see mem.Memory.Fork); harness.Fork re-arms it.
 func (v *VM) Fork() *VM {
 	cm := v.Mem.Fork()
 	child := &VM{
