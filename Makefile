@@ -33,11 +33,13 @@ faultcheck:
 	$(GO) test -v -run 'Injected|Fault|Resilient|Restore|Watchdog|Sentinel|Checkpoint|Resume|Degrad|Hang|Stop' \
 		./internal/harness/ ./internal/execmgr/ ./internal/fuzz/ .
 
-# Static correctness gate: go vet, the restore-completeness lints over
-# every registered target, and the pipeline test suites with the deep
-# analysis verifier re-checking the module after every pass (verifyeach).
+# Static correctness gate: gofmt (any unformatted file fails), go vet, the
+# restore-completeness lints over every registered target, and the pipeline
+# test suites with the deep analysis verifier re-checking the module after
+# every pass (verifyeach).
 # Everything here builds from the repository alone, so it runs offline.
 lint:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need formatting:" >&2; gofmt -l . >&2; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/closurex-lint -q -target all
 	$(GO) test -tags verifyeach ./internal/analysis/ ./internal/passes/ ./internal/core/
@@ -145,15 +147,19 @@ bench:
 # the inline identity cross-check -> BENCH_compile.json), then the
 # translation-validation sweep merged into the same envelope (per-target
 # certification time + certified surface; uncertifiable target = hard
-# failure).
+# failure). Every throughput figure is the median and [q1, q3] of five
+# alternating rounds; -buildvcs=true stamps the commit into each timed
+# report's host envelope (plain `go run` records none). A violated
+# tripwire (edges_match, deterministic_off, shard restarts) exits 1 after
+# the artifact is written.
 benchjson:
-	$(GO) run ./cmd/closurex-bench -parallel-scaling -parallel-execs 20000 -parallel-json BENCH_parallel.json
-	$(GO) run ./cmd/closurex-bench -sanitizer-overhead -sanitizer-execs 20000 -sanitizer-json BENCH_sanitizer.json
-	$(GO) run ./cmd/closurex-bench -restore-elision -interproc-execs 20000 -interproc-json BENCH_interproc.json
-	$(GO) run ./cmd/closurex-bench -dict-gain -dict-execs 20000 -dict-json BENCH_harness.json
-	$(GO) run ./cmd/closurex-bench -synth-gain -synth-execs 10000 -synth-json BENCH_synth.json
-	$(GO) run ./cmd/closurex-bench -compile-speedup -compile-execs 20000 -compile-json BENCH_compile.json
-	$(GO) run ./cmd/closurex-bench -transval -transval-json BENCH_compile.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -parallel-scaling -parallel-execs 20000 -parallel-json BENCH_parallel.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -sanitizer-overhead -sanitizer-execs 20000 -sanitizer-json BENCH_sanitizer.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -restore-elision -interproc-execs 20000 -interproc-json BENCH_interproc.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -dict-gain -dict-execs 20000 -dict-json BENCH_harness.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -synth-gain -synth-execs 10000 -synth-json BENCH_synth.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -compile-speedup -compile-execs 20000 -compile-json BENCH_compile.json
+	$(GO) run -buildvcs=true ./cmd/closurex-bench -transval -transval-json BENCH_compile.json
 
 clean:
 	$(GO) clean ./...

@@ -25,6 +25,13 @@ import (
 	"closurex/internal/experiments"
 )
 
+// sweepTarget is the target of the parallel-scaling, sanitizer-overhead and
+// chaos runs; chaosJobs is the chaos matrix's shard count (min 3).
+const (
+	sweepTarget = "gpmf-parser"
+	chaosJobs   = 4
+)
+
 func main() {
 	var (
 		table    = flag.String("table", "", "3 | 4 | 5 | 6 | 7 | all")
@@ -38,7 +45,6 @@ func main() {
 	)
 	var (
 		scaling      = flag.Bool("parallel-scaling", false, "run the parallel-scaling sweep (jobs = 1, 2, 4, GOMAXPROCS)")
-		scalingTgt   = flag.String("parallel-target", "gpmf-parser", "target for the scaling sweep")
 		scalingExecs = flag.Int64("parallel-execs", 50000, "aggregate executions per scaling point")
 		parallelJSON = flag.String("parallel-json", "", "also write the scaling report to this JSON file (e.g. BENCH_parallel.json)")
 	)
@@ -51,7 +57,6 @@ func main() {
 	)
 	var (
 		sanOverhead = flag.Bool("sanitizer-overhead", false, "run the sanitizer-overhead sweep (modes off, on, on+elide)")
-		sanTgt      = flag.String("sanitizer-target", "gpmf-parser", "target for the sanitizer sweep")
 		sanExecs    = flag.Int64("sanitizer-execs", 20000, "executions per sanitize mode")
 		sanJSON     = flag.String("sanitizer-json", "", "also write the sanitizer report to this JSON file (e.g. BENCH_sanitizer.json)")
 	)
@@ -70,8 +75,6 @@ func main() {
 	)
 	var (
 		chaos      = flag.Bool("chaos", false, "run the fault-injection matrix over the parallel campaign (shard kill, restore corruption, corpus delay/drop)")
-		chaosTgt   = flag.String("chaos-target", "gpmf-parser", "target for the chaos matrix")
-		chaosJobs  = flag.Int("chaos-jobs", 4, "shard count for the chaos matrix (min 3)")
 		chaosExecs = flag.Int64("chaos-execs", 30000, "aggregate executions per chaos scenario")
 		chaosJSON  = flag.String("chaos-json", "", "also write the chaos report to this JSON file (e.g. BENCH_chaos.json)")
 	)
@@ -188,16 +191,19 @@ func main() {
 	}
 
 	if *scaling {
-		rep, err := experiments.RunParallelScaling(*scalingTgt, nil, *scalingExecs, *seed)
+		rep, err := experiments.RunParallelScaling(sweepTarget, nil, *scalingExecs, *seed)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatScaling(rep))
-		if *parallelJSON != "" {
-			if err := experiments.WriteScalingJSON(*parallelJSON, rep); err != nil {
-				fatalf("%v", err)
+		writeReport(*parallelJSON, "scaling", rep)
+		for _, sw := range rep.Sweeps {
+			for _, r := range sw.Rows {
+				if r.Restarts > 0 || r.Quarantined > 0 {
+					fatalf("parallel scaling: backend=%s jobs=%d had %d shard restart(s), %d quarantine(s) in a fault-free run",
+						sw.Backend, r.Jobs, r.Restarts, r.Quarantined)
+				}
 			}
-			fmt.Printf("scaling report written to %s\n", *parallelJSON)
 		}
 	}
 
@@ -207,12 +213,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatCompile(rep))
-		if *compJSON != "" {
-			if err := experiments.WriteCompileJSON(*compJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("compiled-tier report written to %s\n", *compJSON)
-		}
+		writeReport(*compJSON, "compiled-tier", rep)
 		if !rep.AllIdentical {
 			fatalf("compiled tier diverged from the interpreter")
 		}
@@ -238,34 +239,24 @@ func main() {
 	}
 
 	if *chaos {
-		rep, err := experiments.RunChaosMatrix(*chaosTgt, *chaosJobs, *chaosExecs, *seed)
+		rep, err := experiments.RunChaosMatrix(sweepTarget, chaosJobs, *chaosExecs, *seed)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatChaos(rep))
-		if *chaosJSON != "" {
-			if err := experiments.WriteChaosJSON(*chaosJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("chaos report written to %s\n", *chaosJSON)
-		}
+		writeReport(*chaosJSON, "chaos", rep)
 		if !rep.AllPass {
 			fatalf("chaos matrix failed")
 		}
 	}
 
 	if *sanOverhead {
-		rep, err := experiments.RunSanitizerOverhead(*sanTgt, *sanExecs, *seed)
+		rep, err := experiments.RunSanitizerOverhead(sweepTarget, *sanExecs, *seed)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatSanitizer(rep))
-		if *sanJSON != "" {
-			if err := experiments.WriteSanitizerJSON(*sanJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("sanitizer report written to %s\n", *sanJSON)
-		}
+		writeReport(*sanJSON, "sanitizer", rep)
 	}
 
 	if *elision {
@@ -274,11 +265,11 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatElision(rep))
-		if *elisionJSON != "" {
-			if err := experiments.WriteElisionJSON(*elisionJSON, rep); err != nil {
-				fatalf("%v", err)
+		writeReport(*elisionJSON, "elision", rep)
+		for _, r := range rep.Rows {
+			if !r.EdgesMatch {
+				fatalf("restore elision: %s reached different edge counts across rounds or arms", r.Target)
 			}
-			fmt.Printf("elision report written to %s\n", *elisionJSON)
 		}
 	}
 
@@ -288,11 +279,11 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatDictGain(rep))
-		if *dictJSON != "" {
-			if err := experiments.WriteDictGainJSON(*dictJSON, rep); err != nil {
-				fatalf("%v", err)
+		writeReport(*dictJSON, "harness", rep)
+		for _, r := range rep.Rows {
+			if !r.DeterministicOff {
+				fatalf("dict gain: %s reached different edge counts across auto-dictionary-off rounds", r.Target)
 			}
-			fmt.Printf("harness report written to %s\n", *dictJSON)
 		}
 	}
 
@@ -302,12 +293,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Print(experiments.FormatSynthGain(rep))
-		if *synthJSON != "" {
-			if err := experiments.WriteSynthGainJSON(*synthJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("synthesis report written to %s\n", *synthJSON)
-		}
+		writeReport(*synthJSON, "synthesis", rep)
 		// Any CLX130 is a synthesizer bug: a harness we emitted failed its
 		// own certification. Fail the bench after writing the artifact.
 		if rep.CLX130 > 0 {
@@ -328,6 +314,17 @@ func main() {
 		fmt.Printf("\nDeferInitPass extension: %.0f ns/exec -> %.0f ns/exec (%.2fx), results equivalent: %v\n",
 			res.NsPerExecBaseline, res.NsPerExecDeferred, res.Speedup, res.ResultsEquivalent)
 	}
+}
+
+// writeReport writes a report to path as JSON when path is set.
+func writeReport(path, what string, rep any) {
+	if path == "" {
+		return
+	}
+	if err := experiments.WriteJSON(path, rep); err != nil {
+		fatalf("%v", err)
+	}
+	fmt.Printf("%s report written to %s\n", what, path)
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -209,8 +209,8 @@ func TestCardsJSONByteStable(t *testing.T) {
 }
 
 // Harvest must surface the fixture's compare constants so the mutator can
-// stamp them: 'M''Z' byte compares yield no multi-byte token here, but the
-// gpmf-style fourcc fixture below must yield its magic.
+// stamp them: the single-byte "M" and "Z" compares yield no multi-byte
+// token here, but the gpmf-style fourcc fixture below must yield its magic.
 const fourccSrc = `
 int rd_be32(char *p) {
 	return (p[0] << 24) | (p[1] << 16) | (p[2] << 8) | p[3];

@@ -327,7 +327,7 @@ func (st *flowState) harvestCallClusters(f *ir.Func, res *flowResult, sinks map[
 
 // harvestRuns groups byte-compare witnesses appearing in consecutive
 // blocks of one function into tokens — chained &&-style byte checks
-// ("GIF8", "ustar", 'b''2''f''r') lower to one compare per block.
+// ("GIF8", "ustar", "b2fr" byte by byte) lower to one compare per block.
 func harvestRuns(res *flowResult, runs []runEntry) {
 	var cur []byte
 	lastBlock := -100

@@ -69,7 +69,6 @@ type funcCtx struct {
 	f   *ir.Func
 	cfg *analysis.CFG
 	rd  *analysis.ReachingDefs
-	idx map[[2]int]int // (block,instr) -> def-site index
 
 	memo   map[int]absVal
 	inProg map[int]bool
@@ -85,15 +84,8 @@ type funcCtx struct {
 
 func newFuncCtx(m *ir.Module, f *ir.Func) *funcCtx {
 	cfg := analysis.BuildCFG(f)
-	rd := analysis.ComputeReachingDefs(cfg)
-	idx := make(map[[2]int]int, len(rd.Sites))
-	for i, s := range rd.Sites {
-		if s.Block >= 0 {
-			idx[[2]int{s.Block, s.Instr}] = i
-		}
-	}
 	return &funcCtx{
-		m: m, f: f, cfg: cfg, rd: rd, idx: idx,
+		m: m, f: f, cfg: cfg, rd: analysis.ComputeReachingDefs(cfg),
 		memo:      make(map[int]absVal),
 		inProg:    make(map[int]bool),
 		ptrMemo:   make(map[int]int),
@@ -105,32 +97,11 @@ func newFuncCtx(m *ir.Module, f *ir.Func) *funcCtx {
 // instruction at (bi, ii): the value of r's unique reaching definition, or
 // top when several definitions (loop-carried values, merges) may reach.
 func (fc *funcCtx) value(bi, ii, r int) absVal {
-	site := fc.useSite(bi, ii, r)
+	site := fc.rd.UseSite(bi, ii, r)
 	if site < 0 {
 		return topVal
 	}
 	return fc.evalSite(site)
-}
-
-// useSite resolves the unique definition site feeding register r at
-// (bi, ii), or -1 when zero or several definitions may reach.
-func (fc *funcCtx) useSite(bi, ii, r int) int {
-	// A def of r earlier in the same block shadows everything inbound.
-	for j := ii - 1; j >= 0; j-- {
-		if analysis.InstrDef(&fc.f.Blocks[bi].Instrs[j]) == r {
-			return fc.idx[[2]int{bi, j}]
-		}
-	}
-	site := -1
-	for i := range fc.rd.Sites {
-		if fc.rd.Sites[i].Reg == r && fc.rd.In[bi].Has(i) {
-			if site >= 0 {
-				return -1
-			}
-			site = i
-		}
-	}
-	return site
 }
 
 // evalSite computes the abstract value produced by one definition site,
@@ -318,7 +289,7 @@ func (fc *funcCtx) chasePtr(site int) int {
 	if s.Block >= 0 {
 		in := &fc.f.Blocks[s.Block].Instrs[s.Instr]
 		if in.Op == ir.OpMov {
-			out = fc.chasePtr(fc.useSite(s.Block, s.Instr, in.A))
+			out = fc.chasePtr(fc.rd.UseSite(s.Block, s.Instr, in.A))
 		}
 	}
 	delete(fc.ptrInProg, site)
@@ -329,5 +300,5 @@ func (fc *funcCtx) chasePtr(site int) int {
 // resolvePtr resolves register r, as read at (bi, ii), to the definition
 // site it must alias (through mov chains), or -1.
 func (fc *funcCtx) resolvePtr(bi, ii, r int) int {
-	return fc.chasePtr(fc.useSite(bi, ii, r))
+	return fc.chasePtr(fc.rd.UseSite(bi, ii, r))
 }

@@ -116,7 +116,7 @@ func (lt *lifetime) elidable(site Site) bool {
 	if in.Dst < 0 {
 		return false // result discarded: released by nobody
 	}
-	siteIdx, ok := lt.fc.idx[[2]int{site.Block, site.Instr}]
+	siteIdx, ok := lt.fc.rd.SiteAt(site.Block, site.Instr)
 	if !ok {
 		return false
 	}
@@ -378,7 +378,7 @@ func (lt *lifetime) nullTestEdge(bi, ii, cond, siteIdx int) int {
 	if lt.fc.resolvePtr(bi, ii, cond) == siteIdx {
 		return 1
 	}
-	defSite := lt.fc.useSite(bi, ii, cond)
+	defSite := lt.fc.rd.UseSite(bi, ii, cond)
 	if defSite < 0 {
 		return -1
 	}

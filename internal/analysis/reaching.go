@@ -1,5 +1,7 @@
 package analysis
 
+import "closurex/internal/ir"
+
 // DefSite is one register definition: the instruction at F.Blocks[Block].
 // Instrs[Instr] writes register Reg. Parameters are modeled as definitions
 // at a virtual site with Block == -1.
@@ -17,12 +19,45 @@ type ReachingDefs struct {
 	// definitions.
 	Sites   []DefSite
 	In, Out []BitSet
+
+	f  *ir.Func
+	at map[[2]int]int // (block, instr) -> index of the site it defines
+}
+
+// SiteAt returns the index of the definition site at (block, instr), if
+// that instruction defines a register.
+func (rd *ReachingDefs) SiteAt(block, instr int) (int, bool) {
+	i, ok := rd.at[[2]int{block, instr}]
+	return i, ok
+}
+
+// UseSite resolves the unique definition site feeding register r as read
+// by the instruction at (block, instr), or -1 when zero or several
+// definitions (loop-carried values, merges) may reach it.
+func (rd *ReachingDefs) UseSite(block, instr, r int) int {
+	// A def of r earlier in the same block shadows everything inbound.
+	for j := instr - 1; j >= 0; j-- {
+		if InstrDef(&rd.f.Blocks[block].Instrs[j]) == r {
+			return rd.at[[2]int{block, j}]
+		}
+	}
+	// Otherwise the block-entry reaching set must name exactly one site.
+	site := -1
+	for i := range rd.Sites {
+		if rd.Sites[i].Reg == r && rd.In[block].Has(i) {
+			if site >= 0 {
+				return -1
+			}
+			site = i
+		}
+	}
+	return site
 }
 
 // ComputeReachingDefs solves reaching definitions for c's function.
 func ComputeReachingDefs(c *CFG) *ReachingDefs {
 	f := c.F
-	rd := &ReachingDefs{}
+	rd := &ReachingDefs{f: f}
 	// Enumerate sites: parameters first, then textual order.
 	for p := 0; p < f.NumParams; p++ {
 		rd.Sites = append(rd.Sites, DefSite{Block: -1, Instr: -1, Reg: p})
@@ -34,13 +69,16 @@ func ComputeReachingDefs(c *CFG) *ReachingDefs {
 	for bi, b := range f.Blocks {
 		for ii := range b.Instrs {
 			if d := InstrDef(&b.Instrs[ii]); d >= 0 && d < f.NumRegs {
-				idx := len(rd.Sites)
+				byReg[d] = append(byReg[d], len(rd.Sites))
 				rd.Sites = append(rd.Sites, DefSite{Block: bi, Instr: ii, Reg: d})
-				byReg[d] = append(byReg[d], idx)
 			}
 		}
 	}
 	nsites := len(rd.Sites)
+	rd.at = make(map[[2]int]int, nsites-f.NumParams)
+	for i, s := range rd.Sites[f.NumParams:] {
+		rd.at[[2]int{s.Block, s.Instr}] = f.NumParams + i
+	}
 
 	// Per-block gen (last def of each register inside the block) and kill
 	// (every other site of a register the block defines).

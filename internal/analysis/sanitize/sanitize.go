@@ -71,10 +71,9 @@ func rangeVal(lo, hi int64) absVal {
 }
 
 type analyzer struct {
-	m   *ir.Module
-	f   *ir.Func
-	rd  *analysis.ReachingDefs
-	idx map[Access]int // (block,instr) -> def-site index
+	m  *ir.Module
+	f  *ir.Func
+	rd *analysis.ReachingDefs
 
 	memo    map[int]absVal
 	inProg  map[int]bool
@@ -102,15 +101,8 @@ func Analyze(m *ir.Module, f *ir.Func) map[Access]bool {
 
 func newAnalyzer(m *ir.Module, f *ir.Func) *analyzer {
 	cfg := analysis.BuildCFG(f)
-	rd := analysis.ComputeReachingDefs(cfg)
-	idx := make(map[Access]int, len(rd.Sites))
-	for i, s := range rd.Sites {
-		if s.Block >= 0 {
-			idx[Access{Block: s.Block, Instr: s.Instr}] = i
-		}
-	}
 	return &analyzer{
-		m: m, f: f, rd: rd, idx: idx,
+		m: m, f: f, rd: analysis.ComputeReachingDefs(cfg),
 		memo:    make(map[int]absVal),
 		inProg:  make(map[int]bool),
 		escMemo: make(map[int]bool),
@@ -141,22 +133,7 @@ func (a *analyzer) inBounds(bi, ii int, in *ir.Instr) bool {
 // instruction at (bi, ii): the value of r's unique reaching definition, or
 // top when several definitions (loop-carried values, merges) may reach.
 func (a *analyzer) resolveUse(bi, ii, r int) absVal {
-	// A def of r earlier in the same block shadows everything inbound.
-	for j := ii - 1; j >= 0; j-- {
-		if analysis.InstrDef(&a.f.Blocks[bi].Instrs[j]) == r {
-			return a.evalSite(a.idx[Access{Block: bi, Instr: j}])
-		}
-	}
-	// Otherwise the block-entry reaching set must name exactly one site.
-	site := -1
-	for i := range a.rd.Sites {
-		if a.rd.Sites[i].Reg == r && a.rd.In[bi].Has(i) {
-			if site >= 0 {
-				return topVal
-			}
-			site = i
-		}
-	}
+	site := a.rd.UseSite(bi, ii, r)
 	if site < 0 {
 		return topVal
 	}

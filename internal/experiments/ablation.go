@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -148,60 +149,38 @@ int main(void) {
 }
 `
 
-// RunDeferInitAblation measures the extension over n executions.
+// RunDeferInitAblation measures the extension over n executions per sweep
+// round; the results check replays the inputs after each build's first round.
 func RunDeferInitAblation(n int) (DeferInitResult, error) {
 	if n <= 0 {
 		n = 500
 	}
 	var out DeferInitResult
-
-	run := func(deferInit bool) (float64, []int64, error) {
-		variant := core.ClosureX
-		if deferInit {
-			variant = core.ClosureXDeferInit
-		}
+	inputs := [][]byte{{1}, {2}, {200}, {17}}
+	rets := make([][]int64, 2)
+	arms := make([]arm, 2)
+	for i, variant := range []core.Variant{core.ClosureX, core.ClosureXDeferInit} {
 		mod, err := core.Build("deferinit.c", deferInitSource, variant)
 		if err != nil {
-			return 0, nil, err
+			return out, err
 		}
-		mech, err := execmgr.New("closurex", execmgr.Config{Module: mod})
-		if err != nil {
-			return 0, nil, err
-		}
-		defer mech.Close()
-		var rets []int64
-		inputs := [][]byte{{1}, {2}, {200}, {17}}
-		for i := 0; i < 8; i++ { // warm-up
-			mech.Execute(inputs[i%len(inputs)])
-		}
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			res := mech.Execute(inputs[i%len(inputs)])
-			if i < len(inputs) {
-				rets = append(rets, res.Ret)
+		arms[i] = replayArm(func() (execmgr.Mechanism, error) {
+			return execmgr.New("closurex", execmgr.Config{Module: mod})
+		}, inputs, 8, n, func(m execmgr.Mechanism) {
+			if rets[i] == nil {
+				for _, in := range inputs {
+					rets[i] = append(rets[i], m.Execute(in).Ret)
+				}
 			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(n), rets, nil
+		})
 	}
-
-	base, baseRets, err := run(false)
+	s, err := sweep(arms...)
 	if err != nil {
 		return out, err
 	}
-	deferred, defRets, err := run(true)
-	if err != nil {
-		return out, err
-	}
-	out.NsPerExecBaseline = base
-	out.NsPerExecDeferred = deferred
-	if deferred > 0 {
-		out.Speedup = base / deferred
-	}
-	out.ResultsEquivalent = len(baseRets) == len(defRets)
-	for i := range baseRets {
-		if i < len(defRets) && baseRets[i] != defRets[i] {
-			out.ResultsEquivalent = false
-		}
-	}
+	out.NsPerExecBaseline = 1e9 / s[0].Median
+	out.NsPerExecDeferred = 1e9 / s[1].Median
+	out.Speedup = s[1].Median / s[0].Median
+	out.ResultsEquivalent = slices.Equal(rets[0], rets[1])
 	return out, nil
 }

@@ -8,9 +8,7 @@ package experiments
 // no goroutine leak.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -183,14 +181,4 @@ func FormatChaos(rep *ChaosReport) string {
 		b.WriteString("  CHAOS FAILURES PRESENT\n")
 	}
 	return b.String()
-}
-
-// WriteChaosJSON writes the report to path as indented JSON (the
-// BENCH_chaos.json artifact).
-func WriteChaosJSON(path string, rep *ChaosReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

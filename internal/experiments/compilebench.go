@@ -11,15 +11,12 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"closurex/internal/core"
+	"closurex/internal/execmgr"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
 	"closurex/internal/vm/compile"
@@ -27,11 +24,10 @@ import (
 
 // CompileRow is one target's interp-vs-compiled measurement.
 type CompileRow struct {
-	Target              string  `json:"target"`
-	Execs               int64   `json:"execs_per_backend"`
-	InterpExecsPerSec   float64 `json:"interp_execs_per_sec"`
-	CompiledExecsPerSec float64 `json:"compiled_execs_per_sec"`
-	Speedup             float64 `json:"speedup"`
+	Target              string `json:"target"`
+	InterpExecsPerSec   Spread `json:"interp_execs_per_sec"`
+	CompiledExecsPerSec Spread `json:"compiled_execs_per_sec"`
+	Speedup             Ratio  `json:"speedup"`
 	// Identical reports the inline differential check: every seed executed
 	// once per backend in trace mode produced bit-identical coverage
 	// bitmaps, path hashes, instruction counts and fault verdicts.
@@ -40,9 +36,9 @@ type CompileRow struct {
 
 // CompileReport is the JSON envelope BENCH_compile.json carries.
 type CompileReport struct {
+	Host           Host         `json:"host"`
 	Mechanism      string       `json:"mechanism"`
 	ExecsPerTarget int64        `json:"execs_per_target"`
-	GOMAXPROCS     int          `json:"gomaxprocs"`
 	GeomeanSpeedup float64      `json:"geomean_speedup"`
 	AllIdentical   bool         `json:"all_identical"`
 	Rows           []CompileRow `json:"rows"`
@@ -50,39 +46,6 @@ type CompileReport struct {
 	// ran with -transval (experiments.AttachTransvalJSON merges it without
 	// disturbing the speedup rows).
 	Transval *TransvalReport `json:"transval,omitempty"`
-}
-
-// measureBackend builds a closurex-mechanism instance on the given backend
-// and measures raw execution throughput: the seed corpus replayed
-// round-robin for execs iterations after one warmup round. This times the
-// per-exec hot path the backend accelerates (execute + restore), without
-// campaign-side mutation noise.
-func measureBackend(t *targets.Target, backend string, execs int64, seed uint64) (float64, error) {
-	inst, err := core.NewInstance(t, MechClosureX, core.InstanceOptions{
-		TrialSeed:         seed,
-		DeterministicRand: true,
-		Backend:           backend,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer inst.Close()
-	seeds := t.Seeds()
-	if len(seeds) == 0 {
-		return 0, fmt.Errorf("target %s has no seeds", t.Name)
-	}
-	for _, in := range seeds {
-		inst.Mech.Execute(in)
-	}
-	start := time.Now()
-	for i := int64(0); i < execs; i++ {
-		inst.Mech.Execute(seeds[int(i)%len(seeds)])
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return 0, fmt.Errorf("target %s: zero elapsed time", t.Name)
-	}
-	return float64(execs) / elapsed.Seconds(), nil
 }
 
 // backendsIdentical replays the seed corpus once per backend in trace mode
@@ -151,20 +114,36 @@ func RunCompileSpeedup(execsPerTarget int64, seed uint64) (*CompileReport, error
 		execsPerTarget = 20000
 	}
 	rep := &CompileReport{
+		Host:           thisHost(),
 		Mechanism:      MechClosureX,
 		ExecsPerTarget: execsPerTarget,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		AllIdentical:   true,
 	}
 	var logSum float64
 	for _, t := range targets.All() {
-		interp, err := measureBackend(t, vm.InterpBackend, execsPerTarget, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s interp: %w", t.Name, err)
+		seeds := t.Seeds()
+		if len(seeds) == 0 {
+			return nil, fmt.Errorf("experiments: target %s has no seeds", t.Name)
 		}
-		compiled, err := measureBackend(t, compile.BackendName, execsPerTarget, seed)
+		// Each backend replays the seed corpus round-robin after one warm-up
+		// pass: the per-exec hot path the backend accelerates (execute +
+		// restore), without campaign-side mutation noise.
+		backend := func(name string) arm {
+			return replayArm(func() (execmgr.Mechanism, error) {
+				inst, err := core.NewInstance(t, MechClosureX, core.InstanceOptions{
+					TrialSeed:         seed,
+					DeterministicRand: true,
+					Backend:           name,
+				})
+				if err != nil {
+					return nil, fmt.Errorf("experiments: %s %s: %w", t.Name, name, err)
+				}
+				return inst.Mech, nil
+			}, seeds, len(seeds), int(execsPerTarget), func(execmgr.Mechanism) {})
+		}
+		s, err := sweep(backend(vm.InterpBackend), backend(compile.BackendName))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s compiled: %w", t.Name, err)
+			return nil, err
 		}
 		ident, err := backendsIdentical(t, seed)
 		if err != nil {
@@ -172,14 +151,13 @@ func RunCompileSpeedup(execsPerTarget int64, seed uint64) (*CompileReport, error
 		}
 		row := CompileRow{
 			Target:              t.Name,
-			Execs:               execsPerTarget,
-			InterpExecsPerSec:   interp,
-			CompiledExecsPerSec: compiled,
-			Speedup:             compiled / interp,
+			InterpExecsPerSec:   s[0],
+			CompiledExecsPerSec: s[1],
+			Speedup:             ratio(s[1], s[0]),
 			Identical:           ident,
 		}
 		rep.AllIdentical = rep.AllIdentical && ident
-		logSum += math.Log(row.Speedup)
+		logSum += math.Log(row.Speedup.X)
 		rep.Rows = append(rep.Rows, row)
 	}
 	if len(rep.Rows) > 0 {
@@ -191,23 +169,13 @@ func RunCompileSpeedup(execsPerTarget int64, seed uint64) (*CompileReport, error
 // FormatCompile renders the speedup report as an aligned text table.
 func FormatCompile(rep *CompileReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Compiled-tier speedup: %s mechanism, %d execs per backend per target (GOMAXPROCS=%d)\n",
-		rep.Mechanism, rep.ExecsPerTarget, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "  %-14s %14s %14s %9s %10s\n", "target", "interp/s", "compiled/s", "speedup", "identical")
+	fmt.Fprintf(&b, "Compiled-tier speedup: %s mechanism, %d execs per backend per target, median of %d alternating rounds (GOMAXPROCS=%d)\n",
+		rep.Mechanism, rep.ExecsPerTarget, rep.Host.Rounds, rep.Host.GOMAXPROCS)
+	fmt.Fprintf(&b, "  %-14s %24s %24s %-17s %9s\n", "target", "interp/s [q1, q3]", "compiled/s [q1, q3]", "speedup", "identical")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "  %-14s %14.0f %14.0f %8.2fx %10v\n",
-			r.Target, r.InterpExecsPerSec, r.CompiledExecsPerSec, r.Speedup, r.Identical)
+		fmt.Fprintf(&b, "  %-14s %24s %24s %-17s %9v\n",
+			r.Target, r.InterpExecsPerSec, r.CompiledExecsPerSec, &r.Speedup, r.Identical)
 	}
 	fmt.Fprintf(&b, "  geomean speedup: %.2fx (all identical: %v)\n", rep.GeomeanSpeedup, rep.AllIdentical)
 	return b.String()
-}
-
-// WriteCompileJSON writes the report to path as indented JSON (the
-// BENCH_compile.json artifact).
-func WriteCompileJSON(path string, rep *CompileReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

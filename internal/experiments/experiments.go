@@ -134,8 +134,15 @@ func RunEvaluation(cfg Config) (*Evaluation, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, mech := range []string{MechClosureX, MechAFLpp} {
-			for trial := 0; trial < cfg.Trials; trial++ {
+		// Interleave the mechanisms by trial and alternate which goes first
+		// (cx, fs, fs, cx, ...), so host drift lands on both sides of the
+		// ratios alike.
+		for trial := 0; trial < cfg.Trials; trial++ {
+			mechs := []string{MechClosureX, MechAFLpp}
+			if trial%2 == 1 {
+				mechs[0], mechs[1] = mechs[1], mechs[0]
+			}
+			for _, mech := range mechs {
 				r, err := runTrial(t, mech, cfg, trial, keys)
 				if err != nil {
 					return nil, err

@@ -42,6 +42,13 @@ func TestEvaluationShape(t *testing.T) {
 	if len(eval.Results) != 2*2*3 {
 		t.Fatalf("results = %d, want 12", len(eval.Results))
 	}
+	// Trials interleave by index with alternating order: cx, fs, fs, cx, cx, fs.
+	wantOrder := []string{MechClosureX, MechAFLpp, MechAFLpp, MechClosureX, MechClosureX, MechAFLpp}
+	for i, r := range eval.Results {
+		if r.Mechanism != wantOrder[i%6] || r.Trial != i%6/2 {
+			t.Fatalf("result %d = %s trial %d, want %s trial %d", i, r.Mechanism, r.Trial, wantOrder[i%6], i%6/2)
+		}
+	}
 
 	t5 := Table5(eval)
 	if len(t5) != 2 {

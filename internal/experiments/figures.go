@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"closurex/internal/core"
 	"closurex/internal/execmgr"
@@ -38,7 +37,7 @@ int main(void) {
 `
 
 // RunSpectrum measures ns/exec for every mechanism at the given image
-// size (pages) over n executions each.
+// size (pages) over n executions each, the median of a sweep's rounds.
 func RunSpectrum(imagePages int, n int) ([]SpectrumRow, error) {
 	if imagePages <= 0 {
 		imagePages = 512
@@ -46,34 +45,29 @@ func RunSpectrum(imagePages int, n int) ([]SpectrumRow, error) {
 	if n <= 0 {
 		n = 300
 	}
-	var rows []SpectrumRow
-	for _, name := range execmgr.Names() {
-		variant := core.VariantFor(name)
-		mod, err := core.Build("spectrum.c", spectrumSource, variant)
+	names := execmgr.Names()
+	rows := make([]SpectrumRow, len(names))
+	arms := make([]arm, len(names))
+	for i, name := range names {
+		mod, err := core.Build("spectrum.c", spectrumSource, core.VariantFor(name))
 		if err != nil {
 			return nil, err
 		}
-		mech, err := execmgr.New(name, execmgr.Config{Module: mod, Options: vm.Options{ImagePages: imagePages}})
-		if err != nil {
-			return nil, err
-		}
-		input := []byte{42}
-		// Warm up (template builds, first-touch costs).
-		for i := 0; i < 10; i++ {
-			mech.Execute(input)
-		}
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			mech.Execute(input)
-		}
-		el := time.Since(start)
-		rows = append(rows, SpectrumRow{
-			Mechanism: name,
-			NsPerExec: float64(el.Nanoseconds()) / float64(n),
-			Execs:     mech.Execs(),
-			Spawns:    mech.Spawns(),
+		row := &rows[i]
+		row.Mechanism = name
+		// Ten warm-up executions absorb template builds and first-touch costs.
+		arms[i] = replayArm(func() (execmgr.Mechanism, error) {
+			return execmgr.New(name, execmgr.Config{Module: mod, Options: vm.Options{ImagePages: imagePages}})
+		}, [][]byte{{42}}, 10, n, func(m execmgr.Mechanism) {
+			row.Execs, row.Spawns = m.Execs(), m.Spawns()
 		})
-		mech.Close()
+	}
+	s, err := sweep(arms...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].NsPerExec = 1e9 / s[i].Median
 	}
 	return rows, nil
 }

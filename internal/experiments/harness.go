@@ -2,20 +2,17 @@ package experiments
 
 // Harness-quality experiment: every benchmark target is scored by the
 // static harness audit (reachability, coverage geometry, dictionary
-// liveness) and then fuzzed twice from the same trial seed — once with the
-// hand-written dictionary alone and once with the statically harvested
+// liveness) and then fuzzed from the same trial seed — with the
+// hand-written dictionary alone and with the statically harvested
 // auto-dictionary merged in — to measure the coverage the harvested
-// compare constants buy. The JSON emitter backs `make benchjson`
+// compare constants buy. The report backs `make benchjson`
 // (BENCH_harness.json). With the auto-dictionary disabled the campaign
 // must be bit-identical to the historical stream; the bench cross-checks
-// that by requiring every off-trial to reproduce the same edge count.
+// that by requiring every off-round to reproduce the same edge count.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
-	"time"
 
 	"closurex/internal/analysis/harnessaudit"
 	"closurex/internal/core"
@@ -34,18 +31,19 @@ type DictGainRow struct {
 	// Throughput and coverage of the same campaign (same trial seed, same
 	// execs) with the auto-dictionary off and on. EdgeDelta is the
 	// per-target coverage delta the harvested tokens buy; DeterministicOff
-	// tripwires any divergence between off-trials, which would mean the
+	// tripwires any divergence between off-rounds, which would mean the
 	// auto-dictionary plumbing perturbed the baseline stream.
-	ExecsPerSecOff   float64 `json:"execs_per_sec_off"`
-	ExecsPerSecOn    float64 `json:"execs_per_sec_on"`
-	EdgesOff         int     `json:"edges_off"`
-	EdgesOn          int     `json:"edges_on"`
-	EdgeDelta        int     `json:"edge_delta"`
-	DeterministicOff bool    `json:"deterministic_off"`
+	ExecsPerSecOff   Spread `json:"execs_per_sec_off"`
+	ExecsPerSecOn    Spread `json:"execs_per_sec_on"`
+	EdgesOff         int    `json:"edges_off"`
+	EdgesOn          int    `json:"edges_on"`
+	EdgeDelta        int    `json:"edge_delta"`
+	DeterministicOff bool   `json:"deterministic_off"`
 }
 
 // DictGainReport is the JSON envelope BENCH_harness.json carries.
 type DictGainReport struct {
+	Host           Host          `json:"host"`
 	Mechanism      string        `json:"mechanism"`
 	ExecsPerTarget int64         `json:"execs_per_target"`
 	Rows           []DictGainRow `json:"rows"`
@@ -55,11 +53,6 @@ type DictGainReport struct {
 	TotalEdgeDelta  int     `json:"total_edge_delta"`
 }
 
-// dictGainTrials is how many times each off/on point is timed; the fastest
-// trial is reported (min-of-N filters scheduler and GC noise, as in the
-// other sweeps), and every off-trial must reproduce the same edge count.
-const dictGainTrials = 3
-
 // RunDictGain audits every registered target, then times execsPerTarget
 // executions of the same campaign with the auto-dictionary off and on.
 func RunDictGain(execsPerTarget int64, seed uint64) (*DictGainReport, error) {
@@ -67,6 +60,7 @@ func RunDictGain(execsPerTarget int64, seed uint64) (*DictGainReport, error) {
 		execsPerTarget = 10000
 	}
 	rep := &DictGainReport{
+		Host:           thisHost(),
 		Mechanism:      MechClosureX,
 		ExecsPerTarget: execsPerTarget,
 	}
@@ -92,41 +86,22 @@ func RunDictGain(execsPerTarget int64, seed uint64) (*DictGainReport, error) {
 		row.AutoDictTokens = card.AutoDictTokens
 
 		// Dynamic side: identical campaigns (same trial seed) with and
-		// without the harvested tokens, best of N trials each.
-		row.DeterministicOff = true
-		for i, auto := range []bool{false, true} {
-			best, edges := 0.0, 0
-			for trial := 0; trial < dictGainTrials; trial++ {
-				ti, err := core.NewInstance(t, MechClosureX, core.InstanceOptions{
-					TrialSeed:         seed,
-					AutoDict:          auto,
-					DeterministicRand: true,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s auto-dict=%v: %w", t.Name, auto, err)
-				}
-				start := time.Now()
-				ti.Driver().RunExecs(execsPerTarget)
-				elapsed := time.Since(start).Seconds()
-				execs := ti.Driver().Execs()
-				got := ti.Driver().Edges()
-				ti.Close()
-				if eps := float64(execs) / elapsed; elapsed > 0 && eps > best {
-					best = eps
-				}
-				if trial == 0 {
-					edges = got
-				} else if got != edges && !auto {
-					row.DeterministicOff = false
-				}
-			}
-			if i == 0 {
-				row.ExecsPerSecOff, row.EdgesOff = best, edges
-			} else {
-				row.ExecsPerSecOn, row.EdgesOn = best, edges
-			}
+		// without the harvested tokens; every off-round must reproduce the
+		// same edge count.
+		var edgesOff, edgesOn []int
+		off := core.InstanceOptions{TrialSeed: seed, DeterministicRand: true}
+		on := off
+		on.AutoDict = true
+		sp, err := sweep(
+			campaignArm(t, off, execsPerTarget, func(inst *core.Instance) { edgesOff = append(edgesOff, inst.Driver().Edges()) }),
+			campaignArm(t, on, execsPerTarget, func(inst *core.Instance) { edgesOn = append(edgesOn, inst.Driver().Edges()) }))
+		if err != nil {
+			return nil, err
 		}
+		row.ExecsPerSecOff, row.ExecsPerSecOn = sp[0], sp[1]
+		row.EdgesOff, row.EdgesOn = edgesOff[0], edgesOn[0]
 		row.EdgeDelta = row.EdgesOn - row.EdgesOff
+		row.DeterministicOff = allEqual(edgesOff)
 
 		rep.Rows = append(rep.Rows, row)
 		rep.MeanScore += row.Score
@@ -142,8 +117,8 @@ func RunDictGain(execsPerTarget int64, seed uint64) (*DictGainReport, error) {
 // FormatDictGain renders the harness-quality report as an aligned table.
 func FormatDictGain(rep *DictGainReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Harness audit and auto-dictionary gain under %s (%d execs per point):\n",
-		rep.Mechanism, rep.ExecsPerTarget)
+	fmt.Fprintf(&b, "Harness audit and auto-dictionary gain under %s (%d execs per point, median of %d alternating rounds):\n",
+		rep.Mechanism, rep.ExecsPerTarget, rep.Host.Rounds)
 	fmt.Fprintf(&b, "  %-16s %6s %9s %5s %9s %9s %6s %6s %6s %5s\n",
 		"target", "score", "dict l/n", "auto", "off ex/s", "on ex/s",
 		"edges-", "edges+", "delta", "det")
@@ -154,19 +129,9 @@ func FormatDictGain(rep *DictGainReport) string {
 		}
 		fmt.Fprintf(&b, "  %-16s %6.1f %5d/%-3d %5d %9.0f %9.0f %6d %6d %+6d %5s\n",
 			r.Target, r.Score, r.LiveDictTokens, r.DictTokens, r.AutoDictTokens,
-			r.ExecsPerSecOff, r.ExecsPerSecOn, r.EdgesOff, r.EdgesOn, r.EdgeDelta, det)
+			r.ExecsPerSecOff.Median, r.ExecsPerSecOn.Median, r.EdgesOff, r.EdgesOn, r.EdgeDelta, det)
 	}
 	fmt.Fprintf(&b, "  total: mean score %.1f/100; %d auto-dict tokens harvested; %+d edges from the auto-dictionary\n",
 		rep.MeanScore, rep.TotalAutoTokens, rep.TotalEdgeDelta)
 	return b.String()
-}
-
-// WriteDictGainJSON writes the report to path as indented JSON (the
-// BENCH_harness.json artifact).
-func WriteDictGainJSON(path string, rep *DictGainReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,16 +5,13 @@ package experiments
 // per-iteration restore work the proofs discharge — closure-section bytes
 // outside the may-write scope, alloc sites proven freed on all paths, fopen
 // sites proven closed — plus on/off throughput from identical campaigns.
-// The JSON emitter backs `make benchjson` (BENCH_interproc.json); the
+// The report backs `make benchjson` (BENCH_interproc.json); the
 // bit-identical coverage claim itself is enforced by the differential test
 // suite, but the bench cross-checks edge counts as a cheap tripwire.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
-	"time"
 
 	"closurex/internal/core"
 	"closurex/internal/execmgr"
@@ -36,16 +33,18 @@ type ElisionRow struct {
 	FileSites     int     `json:"file_sites"`
 	FileElided    int     `json:"file_elided"`
 	SiteReduction float64 `json:"site_reduction"` // fraction of alloc+fopen sites elided
-	// Throughput of the same campaign (same seed, same execs) with
-	// elision off and on; EdgesMatch tripwires coverage divergence.
-	ExecsPerSecOff float64 `json:"execs_per_sec_off"`
-	ExecsPerSecOn  float64 `json:"execs_per_sec_on"`
-	Speedup        float64 `json:"speedup"`
-	EdgesMatch     bool    `json:"edges_match"`
+	// Throughput of the same campaign (same seed, same execs, pinned VM
+	// randomness) with elision off and on; EdgesMatch tripwires coverage
+	// divergence: every round of both arms must reach one edge count.
+	ExecsPerSecOff Spread `json:"execs_per_sec_off"`
+	ExecsPerSecOn  Spread `json:"execs_per_sec_on"`
+	Speedup        Ratio  `json:"speedup"`
+	EdgesMatch     bool   `json:"edges_match"`
 }
 
 // ElisionReport is the JSON envelope BENCH_interproc.json carries.
 type ElisionReport struct {
+	Host           Host         `json:"host"`
 	Mechanism      string       `json:"mechanism"`
 	ExecsPerTarget int64        `json:"execs_per_target"`
 	Rows           []ElisionRow `json:"rows"`
@@ -59,11 +58,6 @@ type ElisionReport struct {
 	SiteReduction      float64 `json:"site_reduction"`
 }
 
-// elisionTrials is how many times each on/off point is timed; the fastest
-// trial is reported (min-of-N filters scheduler and GC noise, as in the
-// sanitizer sweep).
-const elisionTrials = 3
-
 // RunRestoreElision builds every registered target with the
 // interprocedural analyses armed, records the static elision statistics,
 // and times execsPerTarget executions of the same campaign with elision
@@ -73,6 +67,7 @@ func RunRestoreElision(execsPerTarget int64, seed uint64) (*ElisionReport, error
 		execsPerTarget = 10000
 	}
 	rep := &ElisionReport{
+		Host:           thisHost(),
 		Mechanism:      MechClosureX,
 		ExecsPerTarget: execsPerTarget,
 	}
@@ -113,43 +108,19 @@ func RunRestoreElision(execsPerTarget int64, seed uint64) (*ElisionReport, error
 		inst.Close()
 
 		// Dynamic side: identical campaigns (same trial seed) with and
-		// without elision, best of N trials each.
-		var edgesOff, edgesOn int
-		for i, interproc := range []bool{false, true} {
-			best := 0.0
-			for trial := 0; trial < elisionTrials; trial++ {
-				ti, err := core.NewInstance(t, MechClosureX, core.InstanceOptions{
-					TrialSeed: seed,
-					Interproc: interproc,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s interproc=%v: %w", t.Name, interproc, err)
-				}
-				start := time.Now()
-				ti.Driver().RunExecs(execsPerTarget)
-				elapsed := time.Since(start).Seconds()
-				execs := ti.Driver().Execs()
-				edges := ti.Driver().Edges()
-				ti.Close()
-				if eps := float64(execs) / elapsed; elapsed > 0 && eps > best {
-					best = eps
-				}
-				if interproc {
-					edgesOn = edges
-				} else {
-					edgesOff = edges
-				}
-			}
-			if i == 0 {
-				row.ExecsPerSecOff = best
-			} else {
-				row.ExecsPerSecOn = best
-			}
+		// without elision.
+		var edges []int
+		observe := func(inst *core.Instance) { edges = append(edges, inst.Driver().Edges()) }
+		opts := core.InstanceOptions{TrialSeed: seed, DeterministicRand: true}
+		on := opts
+		on.Interproc = true
+		sp, err := sweep(campaignArm(t, opts, execsPerTarget, observe), campaignArm(t, on, execsPerTarget, observe))
+		if err != nil {
+			return nil, err
 		}
-		row.EdgesMatch = edgesOff == edgesOn
-		if row.ExecsPerSecOff > 0 {
-			row.Speedup = row.ExecsPerSecOn / row.ExecsPerSecOff
-		}
+		row.ExecsPerSecOff, row.ExecsPerSecOn = sp[0], sp[1]
+		row.Speedup = ratio(sp[1], sp[0])
+		row.EdgesMatch = allEqual(edges)
 
 		rep.Rows = append(rep.Rows, row)
 		rep.TotalSectionBytes += row.SectionBytes
@@ -169,9 +140,9 @@ func RunRestoreElision(execsPerTarget int64, seed uint64) (*ElisionReport, error
 // FormatElision renders the restore-elision report as an aligned table.
 func FormatElision(rep *ElisionReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Interprocedural restore elision under %s (%d execs per point):\n",
-		rep.Mechanism, rep.ExecsPerTarget)
-	fmt.Fprintf(&b, "  %-16s %9s %9s %7s %9s %9s %7s %9s %9s %7s %5s\n",
+	fmt.Fprintf(&b, "Interprocedural restore elision under %s (%d execs per point, median of %d alternating rounds):\n",
+		rep.Mechanism, rep.ExecsPerTarget, rep.Host.Rounds)
+	fmt.Fprintf(&b, "  %-16s %9s %9s %7s %9s %9s %7s %9s %9s %-17s %5s\n",
 		"target", "sect B", "write B", "byte-", "alloc e/n", "file e/n", "site-",
 		"off ex/s", "on ex/s", "speedup", "edges")
 	for _, r := range rep.Rows {
@@ -183,10 +154,10 @@ func FormatElision(rep *ElisionReport) string {
 		if !r.EdgesMatch {
 			match = "DIFF"
 		}
-		fmt.Fprintf(&b, "  %-16s %9d %9d %7s %5d/%-3d %5d/%-3d %6.0f%% %9.0f %9.0f %6.2fx %5s\n",
+		fmt.Fprintf(&b, "  %-16s %9d %9d %7s %5d/%-3d %5d/%-3d %6.0f%% %9.0f %9.0f %-17s %5s\n",
 			r.Target, r.SectionBytes, r.MayWriteBytes, scope,
 			r.AllocElided, r.AllocSites, r.FileElided, r.FileSites, 100*r.SiteReduction,
-			r.ExecsPerSecOff, r.ExecsPerSecOn, r.Speedup, match)
+			r.ExecsPerSecOff.Median, r.ExecsPerSecOn.Median, &r.Speedup, match)
 	}
 	fmt.Fprintf(&b, "  total: %d/%d section bytes restored (%.1f%% elided); %d/%d alloc+fopen sites elided (%.1f%%)\n",
 		rep.TotalMayWriteBytes, rep.TotalSectionBytes, 100*rep.ByteReduction,
@@ -194,12 +165,12 @@ func FormatElision(rep *ElisionReport) string {
 	return b.String()
 }
 
-// WriteElisionJSON writes the report to path as indented JSON (the
-// BENCH_interproc.json artifact).
-func WriteElisionJSON(path string, rep *ElisionReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+// allEqual reports whether every value in xs is the same.
+func allEqual(xs []int) bool {
+	for _, x := range xs {
+		if x != xs[0] {
+			return false
+		}
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return true
 }

@@ -2,16 +2,13 @@ package experiments
 
 // Sanitizer-overhead experiment: one target fuzzed under the closurex
 // mechanism with the sanitizer off, on, and on with static check elision,
-// reporting throughput per mode. The JSON emitter backs `make benchjson`
+// reporting throughput per mode. The report backs `make benchjson`
 // (BENCH_sanitizer.json) so CI can track both the cost of the shadow
-// plane and the fraction of it the elision analysis buys back.
+// plane and whether static check elision measurably reduces it.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
-	"time"
 
 	"closurex/internal/analysis/sanitize"
 	"closurex/internal/core"
@@ -19,17 +16,22 @@ import (
 )
 
 // SanitizerRow is one sanitize-mode point of the overhead experiment.
+// Execs and Edges come from the last round.
 type SanitizerRow struct {
-	Mode        string  `json:"mode"` // off | on | on+elide
-	Execs       int64   `json:"execs"`
-	Seconds     float64 `json:"seconds"`
-	ExecsPerSec float64 `json:"execs_per_sec"`
-	Overhead    float64 `json:"overhead"` // exec time relative to mode=off
-	Edges       int     `json:"edges"`
+	Mode        string `json:"mode"` // off | on | on+elide
+	Execs       int64  `json:"execs"`
+	ExecsPerSec Spread `json:"execs_per_sec"`
+	// Overhead is exec time relative to mode=off (off's median over this
+	// mode's); ElideVsOn, on the on+elide row only, is its throughput
+	// relative to mode=on, the comparison the elision claim rests on.
+	Overhead  *Ratio `json:"overhead,omitempty"`
+	ElideVsOn *Ratio `json:"elide_vs_on,omitempty"`
+	Edges     int    `json:"edges"`
 }
 
 // SanitizerReport is the JSON envelope BENCH_sanitizer.json carries.
 type SanitizerReport struct {
+	Host         Host           `json:"host"`
 	Target       string         `json:"target"`
 	Mechanism    string         `json:"mechanism"`
 	ExecsPerMode int64          `json:"execs_per_mode"`
@@ -39,16 +41,10 @@ type SanitizerReport struct {
 	Rows         []SanitizerRow `json:"rows"`
 }
 
-// sanitizerTrials is how many times each mode is timed; the fastest trial
-// is reported. The modes differ only in instruction count (elide executes a
-// strict subset of on's shadow checks), so min-of-N filters scheduler and
-// GC noise out of what is otherwise a monotone ordering.
-const sanitizerTrials = 3
-
 // RunSanitizerOverhead fuzzes target under the closurex mechanism in each
-// sanitize mode, running execsPerMode executions per point from the same
-// trial seed, and reports the best-of-N throughput plus the static elision
-// statistics of the instrumented build.
+// sanitize mode, running execsPerMode executions per round from the same
+// trial seed, and reports each mode's throughput spread plus the static
+// elision statistics of the instrumented build.
 func RunSanitizerOverhead(target string, execsPerMode int64, seed uint64) (*SanitizerReport, error) {
 	t := targets.Get(target)
 	if t == nil {
@@ -58,6 +54,7 @@ func RunSanitizerOverhead(target string, execsPerMode int64, seed uint64) (*Sani
 		execsPerMode = 20000
 	}
 	rep := &SanitizerReport{
+		Host:         thisHost(),
 		Target:       target,
 		Mechanism:    MechClosureX,
 		ExecsPerMode: execsPerMode,
@@ -70,61 +67,41 @@ func RunSanitizerOverhead(target string, execsPerMode int64, seed uint64) (*Sani
 	rep.Checks, rep.Elided = sr.Totals()
 	rep.ElisionRate = sr.Rate()
 
-	for _, mode := range []core.SanitizeMode{core.SanitizeOff, core.SanitizeNoElide, core.SanitizeElide} {
-		var row SanitizerRow
+	modes := []core.SanitizeMode{core.SanitizeOff, core.SanitizeNoElide, core.SanitizeElide}
+	rep.Rows = make([]SanitizerRow, len(modes))
+	arms := make([]arm, len(modes))
+	for i, mode := range modes {
+		row := &rep.Rows[i]
 		row.Mode = mode.String()
-		for trial := 0; trial < sanitizerTrials; trial++ {
-			inst, err := core.NewInstance(t, MechClosureX, core.InstanceOptions{
-				TrialSeed: seed,
-				Sanitize:  mode,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: mode=%s: %w", mode, err)
-			}
-			start := time.Now()
-			inst.Driver().RunExecs(execsPerMode)
-			elapsed := time.Since(start)
-			execs := inst.Driver().Execs()
-			edges := inst.Driver().Edges()
-			inst.Close()
-			if trial == 0 || elapsed.Seconds() < row.Seconds {
-				row.Execs = execs
-				row.Seconds = elapsed.Seconds()
-				row.Edges = edges
-			}
-		}
-		if row.Seconds > 0 {
-			row.ExecsPerSec = float64(row.Execs) / row.Seconds
-		}
-		if len(rep.Rows) > 0 && row.ExecsPerSec > 0 {
-			row.Overhead = rep.Rows[0].ExecsPerSec / row.ExecsPerSec
-		} else {
-			row.Overhead = 1
-		}
-		rep.Rows = append(rep.Rows, row)
+		arms[i] = campaignArm(t, core.InstanceOptions{TrialSeed: seed, Sanitize: mode}, execsPerMode, func(inst *core.Instance) {
+			row.Execs, row.Edges = inst.Driver().Execs(), inst.Driver().Edges()
+		})
 	}
+	s, err := sweep(arms...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rep.Rows {
+		rep.Rows[i].ExecsPerSec = s[i]
+		if i > 0 {
+			o := ratio(s[0], s[i])
+			rep.Rows[i].Overhead = &o
+		}
+	}
+	elide := ratio(s[2], s[1])
+	rep.Rows[2].ElideVsOn = &elide
 	return rep, nil
 }
 
 // FormatSanitizer renders the overhead report as an aligned text table.
 func FormatSanitizer(rep *SanitizerReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Sanitizer overhead: %s under %s (%d execs per mode; %d checks, %d elided = %.1f%%)\n",
-		rep.Target, rep.Mechanism, rep.ExecsPerMode, rep.Checks, rep.Elided, 100*rep.ElisionRate)
-	fmt.Fprintf(&b, "  %-10s %12s %10s %12s %9s %8s\n", "mode", "execs", "seconds", "execs/s", "overhead", "edges")
+	fmt.Fprintf(&b, "Sanitizer overhead: %s under %s (%d execs per mode, median of %d alternating rounds; %d checks, %d elided = %.1f%%)\n",
+		rep.Target, rep.Mechanism, rep.ExecsPerMode, rep.Host.Rounds, rep.Checks, rep.Elided, 100*rep.ElisionRate)
+	fmt.Fprintf(&b, "  %-10s %12s %24s %-18s %-18s %8s\n", "mode", "execs", "execs/s [q1, q3]", "overhead", "vs on", "edges")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "  %-10s %12d %10.3f %12.0f %8.2fx %8d\n",
-			r.Mode, r.Execs, r.Seconds, r.ExecsPerSec, r.Overhead, r.Edges)
+		fmt.Fprintf(&b, "  %-10s %12d %24s %-18s %-18s %8d\n",
+			r.Mode, r.Execs, r.ExecsPerSec, r.Overhead, r.ElideVsOn, r.Edges)
 	}
 	return b.String()
-}
-
-// WriteSanitizerJSON writes the report to path as indented JSON (the
-// BENCH_sanitizer.json artifact).
-func WriteSanitizerJSON(path string, rep *SanitizerReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

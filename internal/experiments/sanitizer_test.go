@@ -33,12 +33,15 @@ func TestRunSanitizerOverhead(t *testing.T) {
 			t.Errorf("mode %s coverage %d differs from off-mode %d", r.Mode, r.Edges, rep.Rows[0].Edges)
 		}
 	}
+	if rep.Rows[0].Overhead != nil || rep.Rows[1].Overhead == nil || rep.Rows[2].ElideVsOn == nil {
+		t.Errorf("ratios: off must carry none, on an overhead, on+elide a comparison with on: %+v", rep.Rows)
+	}
 	if rep.Elided == 0 || rep.ElisionRate < 0.30 {
 		t.Errorf("elision stats missing: checks=%d elided=%d rate=%v", rep.Checks, rep.Elided, rep.ElisionRate)
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_sanitizer.json")
-	if err := WriteSanitizerJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -49,7 +52,7 @@ func TestRunSanitizerOverhead(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Target != "sandefect" || len(back.Rows) != 3 {
+	if back.Target != "sandefect" || len(back.Rows) != 3 || back.Host.Rounds != sweepRounds {
 		t.Fatalf("JSON round-trip mangled report: %+v", back)
 	}
 }

@@ -6,13 +6,11 @@ package experiments
 // map must be a strict superset of the manual-only map — the synthesized
 // arms, selector dispatch and closurex_init preconditions reach cells the
 // manual campaign does not — and any CLX130 from certification is a synth
-// bug the bench refuses to average away. The JSON emitter backs `make
+// bug the bench refuses to average away. The report backs `make
 // benchjson` (BENCH_synth.json).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"closurex/internal/analysis"
@@ -177,14 +175,4 @@ func FormatSynthGain(rep *SynthGainReport) string {
 	fmt.Fprintf(&b, "  total: %d/%d targets synthesized, %d strict supersets, %+d new cells, %d CLX130\n",
 		rep.TargetsSynthesized, len(rep.Rows), rep.TargetsSuperset, rep.TotalNewCells, rep.CLX130)
 	return b.String()
-}
-
-// WriteSynthGainJSON writes the report to path as indented JSON (the
-// BENCH_synth.json artifact).
-func WriteSynthGainJSON(path string, rep *SynthGainReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -107,5 +107,5 @@ func AttachTransvalJSON(path string, rep *TransvalReport) error {
 		return err
 	}
 	env.Transval = rep
-	return WriteCompileJSON(path, env)
+	return WriteJSON(path, env)
 }

@@ -65,9 +65,9 @@ func ForShard(s Site, shard int) Site {
 
 // rule decides when a site fires.
 type rule struct {
-	after int     // skip this many probes first
-	count int     // then fire on this many (< 0: forever)
-	prob  float64 // or: fire with this probability per probe
+	after  int     // skip this many probes first
+	count  int     // then fire on this many (< 0: forever)
+	prob   float64 // or: fire with this probability per probe
 	isProb bool
 }
 

@@ -302,8 +302,8 @@ func TestChaosInertInjectorBitIdentical(t *testing.T) {
 	inj.FailAfter(faultinject.ShardKill, 1<<40, 1) // armed, unreachable
 	parEx, parCov := newLadder("MAGIC")
 	par, err := NewParallelCampaign(ParallelConfig{
-		Shards:     []ShardConfig{{Executor: parEx, CovMap: parCov}},
-		Seed:       99, Seeds: seeds,
+		Shards: []ShardConfig{{Executor: parEx, CovMap: parCov}},
+		Seed:   99, Seeds: seeds,
 		Supervisor: SupervisorConfig{Injector: inj},
 	})
 	if err != nil {

@@ -232,8 +232,12 @@ type fakeController struct {
 }
 
 func (f *fakeController) Rebuild(reason string) { f.rebuilds++; f.lastReason = reason }
-func (f *fakeController) Degrade(reason string) { f.degrades++; f.degraded = true; f.lastReason = reason }
-func (f *fakeController) Degraded() bool        { return f.degraded }
+func (f *fakeController) Degrade(reason string) {
+	f.degrades++
+	f.degraded = true
+	f.lastReason = reason
+}
+func (f *fakeController) Degraded() bool { return f.degraded }
 
 func TestSentinelRoutesDivergencesIntoLadder(t *testing.T) {
 	cov := make([]byte, MapSize)

@@ -36,6 +36,25 @@ func Median(xs []float64) float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
+// Quartiles returns the first and third quartile of xs by Python's
+// statistics.quantiles(xs, n=4) rule (the "exclusive" method), the same
+// rule the repository benchmark reports its spreads with. With one value
+// both quartiles are that value; with none both are 0.
+func Quartiles(xs []float64) (q1, q3 float64) {
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	n := len(c)
+	if n < 2 {
+		return Median(c), Median(c)
+	}
+	q := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		return (c[j-1]*(4-delta) + c[j]*delta) / 4
+	}
+	return q(1), q(3)
+}
+
 // Stddev returns the sample standard deviation.
 func Stddev(xs []float64) float64 {
 	if len(xs) < 2 {

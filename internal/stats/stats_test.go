@@ -115,3 +115,23 @@ func TestNormalCDF(t *testing.T) {
 		t.Fatalf("CDF(1.96) = %v", normalCDF(1.96))
 	}
 }
+
+// TestQuartilesMatchPython pins Quartiles to Python's
+// statistics.quantiles(xs, n=4), on the vectors the repository benchmark
+// pins its own quartiles to.
+func TestQuartilesMatchPython(t *testing.T) {
+	for _, c := range []struct {
+		in     []float64
+		q1, q3 float64
+	}{
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 2.75, 8.25},
+		{[]float64{3.5, 1.25, 9, 7}, 1.8125, 8.5},
+		{[]float64{5, 1}, 0, 6},
+		{[]float64{4}, 4, 4},
+	} {
+		q1, q3 := Quartiles(c.in)
+		if !almostEq(q1, c.q1, 1e-12) || !almostEq(q3, c.q3, 1e-12) {
+			t.Errorf("Quartiles(%v) = %v, %v; want %v, %v", c.in, q1, q3, c.q1, c.q3)
+		}
+	}
+}

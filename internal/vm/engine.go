@@ -89,9 +89,9 @@ func (v *VM) Backend() string {
 // map[string]bool set) and the execution backends all agree on slot
 // numbering without sharing a package.
 var (
-	builtinNames []string            // ascending
-	builtinSlots []builtinFn         // aligned with builtinNames
-	builtinIdx   map[string]int      // name -> slot
+	builtinNames []string       // ascending
+	builtinSlots []builtinFn    // aligned with builtinNames
+	builtinIdx   map[string]int // name -> slot
 )
 
 // initBuiltinTable builds the indexed table; called from init() in

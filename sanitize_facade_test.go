@@ -24,10 +24,10 @@ func sanFuzzer(t *testing.T, opts Options) *Fuzzer {
 // allocation site embedded in the triage key.
 func TestSanitizerDetectsSeededDefects(t *testing.T) {
 	cases := []struct {
-		name    string
-		input   string
-		kind    string
-		fn      string // faulting function == allocation site function
+		name  string
+		input string
+		kind  string
+		fn    string // faulting function == allocation site function
 	}{
 		{"overflow-read", "SD1abcdefgh", "heap-out-of-bounds", "overflow_read"},
 		{"overflow-write", "SD2abcd", "heap-out-of-bounds", "overflow_write"},
