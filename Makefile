@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race faultcheck lint staticcheck sanitize interproc harness-audit chaos compile transval synth check bench benchjson clean
+.PHONY: all build test vet race faultcheck lint staticcheck sanitize interproc harness-audit chaos compile transval synth fuzz check bench benchjson clean
 
 # Pinned staticcheck release for the opt-in `staticcheck` target.
 STATICCHECK_VERSION ?= 2025.1
@@ -127,7 +127,15 @@ synth:
 	$(GO) test -race -timeout 15m -count=1 -run 'Synth' ./internal/analysis/synth/ ./internal/experiments/
 	$(GO) run ./cmd/closurex-lint -q -target all -synth
 
-check: vet test race faultcheck lint sanitize interproc harness-audit chaos compile transval synth benchjson
+# Fuzz gate: a short native Go fuzzing run that mutates the targets' MinC
+# sources through compile, ClosureX instrumentation and both elision
+# analyses; a panic, or an accepted module the verifier or lints reject,
+# fails it. Findings belong in internal/core/testdata/fuzz/, where plain
+# `go test` replays them.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzInstrumentAnalyses -fuzztime 30s ./internal/core/
+
+check: vet test race faultcheck lint sanitize interproc harness-audit chaos compile transval synth fuzz benchjson
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -63,12 +63,6 @@ var compareCalls = map[string]bool{
 	"memcmp": true, "strcmp": true, "strncmp": true,
 }
 
-// allocCalls return heap pointers (for the pointer-tag lattice).
-var allocCalls = map[string]bool{
-	"malloc": true, "calloc": true, "realloc": true,
-	"closurex_malloc": true, "closurex_calloc": true, "closurex_realloc": true,
-}
-
 // ---- pointer tags ----
 
 // tagKind classifies what a register may point at; the memory model needs
@@ -296,7 +290,7 @@ func computeTags(m *ir.Module, f *ir.Func) []ptag {
 					}
 				case ir.OpCall:
 					switch {
-					case allocCalls[in.Callee]:
+					case analysis.AllocCallees[in.Callee] || analysis.ReallocCallees[in.Callee]:
 						changed = upd(in.Dst, ptag{kind: tagHeap}) || changed
 					case copyCalls[in.Callee] && len(in.Args) > 0 && in.Args[0] >= 0 && in.Args[0] < len(tg):
 						changed = upd(in.Dst, tg[in.Args[0]]) || changed

@@ -85,7 +85,7 @@ func Analyze(m *ir.Module) *Result {
 	// every downstream conclusion — deterministic across runs.
 	rets := newRetOracle(ctxs)
 	for _, fn := range all {
-		ctxs[fn].rets = rets
+		ctxs[fn].Returns = rets.retOf
 	}
 	for _, fn := range all {
 		rets.retOf(fn)

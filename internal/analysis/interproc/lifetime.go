@@ -3,6 +3,7 @@ package interproc
 import (
 	"fmt"
 
+	"closurex/internal/analysis"
 	"closurex/internal/ir"
 )
 
@@ -32,31 +33,6 @@ type Site struct {
 // memory, returned, or passed to a module function or realloc — are never
 // elided: something outside the function could retain or free them.
 
-// allocCallees maps heap allocation callees (raw and wrapped) to true.
-var allocCallees = map[string]bool{
-	"malloc": true, "closurex_malloc": true,
-	"calloc": true, "closurex_calloc": true,
-}
-
-// reallocCallees free their pointer argument; passing a tracked pointer
-// to them is an escape, and their own result is a site we never elide
-// (the freed-or-untouched-on-failure semantics defeats must-free proofs).
-var reallocCallees = map[string]bool{
-	"realloc": true, "closurex_realloc": true,
-}
-
-var freeCallees = map[string]bool{
-	"free": true, "closurex_free": true,
-}
-
-var fopenCallees = map[string]bool{
-	"fopen": true, "closurex_fopen": true,
-}
-
-var fcloseCallees = map[string]bool{
-	"fclose": true, "closurex_fclose": true,
-}
-
 // lifetimeKind selects which resource family a query is about.
 type lifetimeKind int
 
@@ -67,16 +43,16 @@ const (
 
 func (k lifetimeKind) isSiteCall(callee string) bool {
 	if k == heapLifetime {
-		return allocCallees[callee] || reallocCallees[callee]
+		return analysis.AllocCallees[callee] || analysis.ReallocCallees[callee]
 	}
-	return fopenCallees[callee]
+	return analysis.FopenCallees[callee]
 }
 
 func (k lifetimeKind) isRelease(callee string) bool {
 	if k == heapLifetime {
-		return freeCallees[callee]
+		return analysis.FreeCallees[callee]
 	}
-	return fcloseCallees[callee]
+	return analysis.FcloseCallees[callee]
 }
 
 // lifetimeSites returns every site of the given kind in f, in textual
@@ -108,15 +84,15 @@ type lifetime struct {
 
 // elidable decides whether the site's tracking can be skipped.
 func (lt *lifetime) elidable(site Site) bool {
-	f := lt.fc.f
+	f := lt.fc.F
 	in := &f.Blocks[site.Block].Instrs[site.Instr]
-	if lt.kind == heapLifetime && reallocCallees[in.Callee] {
-		return false
+	if lt.kind == heapLifetime && analysis.ReallocCallees[in.Callee] {
+		return false // freed-or-untouched-on-failure defeats must-free proofs
 	}
 	if in.Dst < 0 {
 		return false // result discarded: released by nobody
 	}
-	siteIdx, ok := lt.fc.rd.SiteAt(site.Block, site.Instr)
+	siteIdx, ok := lt.fc.RD.SiteAt(site.Block, site.Instr)
 	if !ok {
 		return false
 	}
@@ -134,8 +110,8 @@ func (lt *lifetime) elidable(site Site) bool {
 // (and extra frees elsewhere can only fault, which respawns), so passing
 // to them is not an escape.
 func (lt *lifetime) escapes(site Site, dst int) bool {
-	f := lt.fc.f
-	tainted := taintFrom(f, dst)
+	f := lt.fc.F
+	tainted := analysis.DerivedFrom(f, dst)
 	for _, b := range f.Blocks {
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
@@ -149,7 +125,7 @@ func (lt *lifetime) escapes(site Site, dst int) bool {
 					return true
 				}
 			case ir.OpCall:
-				if reallocCallees[in.Callee] {
+				if analysis.ReallocCallees[in.Callee] {
 					for _, a := range in.Args {
 						if a >= 0 && a < f.NumRegs && tainted[a] {
 							return true
@@ -157,7 +133,7 @@ func (lt *lifetime) escapes(site Site, dst int) bool {
 					}
 					continue
 				}
-				if lt.fc.m.Func(in.Callee) == nil {
+				if lt.fc.M.Func(in.Callee) == nil {
 					continue // builtins other than realloc never retain pointers
 				}
 				for i, a := range in.Args {
@@ -174,38 +150,6 @@ func (lt *lifetime) escapes(site Site, dst int) bool {
 		}
 	}
 	return false
-}
-
-// taintFrom propagates may-alias taint from register src through mov and
-// pointer-arithmetic (add/sub) chains, flow-insensitively.
-func taintFrom(f *ir.Func, src int) []bool {
-	tainted := make([]bool, f.NumRegs)
-	if src >= 0 && src < f.NumRegs {
-		tainted[src] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range f.Blocks {
-			for ii := range b.Instrs {
-				in := &b.Instrs[ii]
-				var from bool
-				switch in.Op {
-				case ir.OpMov:
-					from = in.A >= 0 && in.A < f.NumRegs && tainted[in.A]
-				case ir.OpBin:
-					if in.Bin == ir.Add || in.Bin == ir.Sub {
-						from = (in.A >= 0 && in.A < f.NumRegs && tainted[in.A]) ||
-							(in.B >= 0 && in.B < f.NumRegs && tainted[in.B])
-					}
-				}
-				if from && in.Dst >= 0 && in.Dst < f.NumRegs && !tainted[in.Dst] {
-					tainted[in.Dst] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return tainted
 }
 
 // paramSafety summarizes, per module function and parameter, whether a
@@ -263,7 +207,7 @@ func (ps *paramSafety) safe(fn string, p int) bool {
 // compute scans f for uses of parameter p (registers 0..NumParams-1 hold
 // the incoming parameters) that retain or release the value.
 func (ps *paramSafety) compute(f *ir.Func, p int) bool {
-	tainted := taintFrom(f, p)
+	tainted := analysis.DerivedFrom(f, p)
 	for _, b := range f.Blocks {
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
@@ -277,8 +221,8 @@ func (ps *paramSafety) compute(f *ir.Func, p int) bool {
 					return false // returned: the caller-side walk loses track
 				}
 			case ir.OpCall:
-				releases := freeCallees[in.Callee] || reallocCallees[in.Callee] ||
-					fcloseCallees[in.Callee]
+				releases := analysis.FreeCallees[in.Callee] || analysis.ReallocCallees[in.Callee] ||
+					analysis.FcloseCallees[in.Callee]
 				callee := ps.m.Func(in.Callee)
 				if !releases && callee == nil {
 					continue // non-releasing builtin: never retains
@@ -310,7 +254,7 @@ func (lt *lifetime) walk(pos, site Site, siteIdx int, visited map[Site]bool) boo
 		return true
 	}
 	visited[pos] = true
-	f := lt.fc.f
+	f := lt.fc.F
 	if pos.Block < 0 || pos.Block >= len(f.Blocks) {
 		return false
 	}
@@ -335,7 +279,7 @@ func (lt *lifetime) walk(pos, site Site, siteIdx int, visited map[Site]bool) boo
 				}
 				continue
 			}
-			if lt.fc.m.Func(in.Callee) != nil {
+			if lt.fc.M.Func(in.Callee) != nil {
 				if lt.mayExit != nil && lt.mayExit(in.Callee) {
 					return false // callee may unwind the iteration
 				}
@@ -378,15 +322,15 @@ func (lt *lifetime) nullTestEdge(bi, ii, cond, siteIdx int) int {
 	if lt.fc.resolvePtr(bi, ii, cond) == siteIdx {
 		return 1
 	}
-	defSite := lt.fc.rd.UseSite(bi, ii, cond)
+	defSite := lt.fc.RD.UseSite(bi, ii, cond)
 	if defSite < 0 {
 		return -1
 	}
-	s := lt.fc.rd.Sites[defSite]
+	s := lt.fc.RD.Sites[defSite]
 	if s.Block < 0 {
 		return -1
 	}
-	in := &lt.fc.f.Blocks[s.Block].Instrs[s.Instr]
+	in := &lt.fc.F.Blocks[s.Block].Instrs[s.Instr]
 	switch in.Op {
 	case ir.OpUn:
 		if in.Un == ir.Not && lt.fc.resolvePtr(s.Block, s.Instr, in.A) == siteIdx {
@@ -398,8 +342,8 @@ func (lt *lifetime) nullTestEdge(bi, ii, cond, siteIdx int) int {
 		}
 		ptrA := lt.fc.resolvePtr(s.Block, s.Instr, in.A) == siteIdx
 		ptrB := lt.fc.resolvePtr(s.Block, s.Instr, in.B) == siteIdx
-		zeroA := isConstZero(lt.fc.value(s.Block, s.Instr, in.A))
-		zeroB := isConstZero(lt.fc.value(s.Block, s.Instr, in.B))
+		zeroA := isConstZero(lt.fc.At(s.Block, s.Instr, in.A))
+		zeroB := isConstZero(lt.fc.At(s.Block, s.Instr, in.B))
 		if (ptrA && zeroB) || (ptrB && zeroA) {
 			if in.Bin == ir.Eq {
 				return 0
@@ -410,6 +354,6 @@ func (lt *lifetime) nullTestEdge(bi, ii, cond, siteIdx int) int {
 	return -1
 }
 
-func isConstZero(v absVal) bool {
-	return v.k == rng && v.lo == 0 && v.hi == 0
+func isConstZero(v analysis.Value) bool {
+	return v.Kind == analysis.Range && v.Lo == 0 && v.Hi == 0
 }

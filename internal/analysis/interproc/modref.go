@@ -28,10 +28,10 @@ func (iv Interval) join(o Interval) Interval {
 		out.Hi = o.Hi
 	}
 	out.Unbounded = iv.Unbounded || o.Unbounded
-	if out.Lo < -boundClamp {
-		out.Lo = -boundClamp // effectively -∞: fails every >= 0 check
+	if out.Lo < -analysis.ValueClamp {
+		out.Lo = -analysis.ValueClamp // effectively -∞: fails every >= 0 check
 	}
-	if out.Hi > boundClamp {
+	if out.Hi > analysis.ValueClamp {
 		out.Unbounded = true
 	}
 	if out.Unbounded {
@@ -214,7 +214,7 @@ func (st *modRefState) widen(fn string, ns *Summary) {
 			st.grow[key]++
 		}
 		if st.grow[key] > paramWidenLimit {
-			ns.ParamWrites[p] = Interval{Lo: -boundClamp, Unbounded: true}
+			ns.ParamWrites[p] = Interval{Lo: -analysis.ValueClamp, Unbounded: true}
 		}
 	}
 }
@@ -225,14 +225,14 @@ func (st *modRefState) widen(fn string, ns *Summary) {
 // reporting pass once the fixpoint is stable.
 func (st *modRefState) effects(fc *funcCtx, diags *analysis.Diagnostics) *Summary {
 	s := newSummary()
-	for bi, b := range fc.f.Blocks {
+	for bi, b := range fc.F.Blocks {
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
 			switch in.Op {
 			case ir.OpStore:
-				base := fc.value(bi, ii, in.A)
+				base := fc.At(bi, ii, in.A)
 				span := Interval{Lo: in.Imm, Hi: in.Imm + int64(in.Size) - 1}
-				if base.k == top && span.Lo >= 0 && fc.regionPtr(in.A) {
+				if base.Kind == analysis.Top && span.Lo >= 0 && fc.regionPtr(in.A) {
 					// Interval analysis lost the address (loop-carried
 					// index), but the region classifier proves it heap- or
 					// frame-directed with a non-negative offset: the write
@@ -242,7 +242,7 @@ func (st *modRefState) effects(fc *funcCtx, diags *analysis.Diagnostics) *Summar
 				if !st.applySpan(s, base, span) && diags != nil {
 					*diags = append(*diags, analysis.Diagnostic{
 						ID: analysis.IDGlobalEscape, Sev: analysis.SevWarn, Pass: interprocPass,
-						Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
+						Func: fc.F.Name, Block: bi, Instr: ii, Line: in.Pos,
 						Msg: fmt.Sprintf("store through unresolvable pointer (width %d); globals must be treated as whole-section may-written", in.Size),
 					})
 				}
@@ -257,38 +257,38 @@ func (st *modRefState) effects(fc *funcCtx, diags *analysis.Diagnostics) *Summar
 // applySpan folds one write of base+span into the summary, returning
 // false when the write could not be attributed (summary degraded to
 // Unknown).
-func (st *modRefState) applySpan(s *Summary, base absVal, span Interval) bool {
-	switch base.k {
-	case frameOff, heapOff:
+func (st *modRefState) applySpan(s *Summary, base analysis.Value, span Interval) bool {
+	switch base.Kind {
+	case analysis.FrameOff, analysis.HeapOff:
 		// The frame and heap segments lie strictly above the globals
 		// segment, and writes extend upward: a non-negative start offset
 		// can never reach a global byte, whatever the length.
-		if base.lo+span.Lo >= 0 {
+		if base.Lo+span.Lo >= 0 {
 			return true
 		}
-	case globalOff:
-		if base.g >= 0 && base.g < len(st.m.Globals) && !span.Unbounded {
-			g := st.m.Globals[base.g]
-			if base.lo+span.Lo >= 0 && base.hi+span.Hi < g.Size {
-				s.WritesGlobals[base.g] = true
+	case analysis.GlobalOff:
+		if base.Global >= 0 && base.Global < len(st.m.Globals) && !span.Unbounded {
+			g := st.m.Globals[base.Global]
+			if base.Lo+span.Lo >= 0 && base.Hi+span.Hi < g.Size {
+				s.WritesGlobals[base.Global] = true
 				return true
 			}
 		}
-	case paramOff:
-		iv := Interval{Lo: base.lo + span.Lo, Hi: base.hi + span.Hi, Unbounded: span.Unbounded}
-		if iv.Lo < -boundClamp {
-			iv.Lo = -boundClamp
+	case analysis.ParamOff:
+		iv := Interval{Lo: base.Lo + span.Lo, Hi: base.Hi + span.Hi, Unbounded: span.Unbounded}
+		if iv.Lo < -analysis.ValueClamp {
+			iv.Lo = -analysis.ValueClamp
 		}
-		if iv.Hi > boundClamp {
+		if iv.Hi > analysis.ValueClamp {
 			iv.Unbounded = true
 		}
 		if iv.Unbounded {
 			iv.Hi = 0
 		}
-		if prev, ok := s.ParamWrites[base.p]; ok {
+		if prev, ok := s.ParamWrites[base.Param]; ok {
 			iv = prev.join(iv)
 		}
-		s.ParamWrites[base.p] = iv
+		s.ParamWrites[base.Param] = iv
 		return true
 	}
 	s.Unknown = true
@@ -321,14 +321,14 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 				s.Unknown = true
 				continue
 			}
-			base := fc.value(bi, ii, in.Args[p])
-			if base.k == top && iv.Lo >= 0 && fc.regionPtr(in.Args[p]) {
+			base := fc.At(bi, ii, in.Args[p])
+			if base.Kind == analysis.Top && iv.Lo >= 0 && fc.regionPtr(in.Args[p]) {
 				continue // heap/frame-directed argument: callee writes stay out of globals
 			}
 			if !st.applySpan(s, base, iv) && diags != nil {
 				*diags = append(*diags, analysis.Diagnostic{
 					ID: analysis.IDGlobalEscape, Sev: analysis.SevWarn, Pass: interprocPass,
-					Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
+					Func: fc.F.Name, Block: bi, Instr: ii, Line: in.Pos,
 					Msg: fmt.Sprintf("call %s may write through argument %d, which the caller cannot bound; globals degrade to whole-section", in.Callee, p),
 				})
 			}
@@ -341,7 +341,7 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 		if diags != nil {
 			*diags = append(*diags, analysis.Diagnostic{
 				ID: analysis.IDCallGraphHole, Sev: analysis.SevWarn, Pass: interprocPass,
-				Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
+				Func: fc.F.Name, Block: bi, Instr: ii, Line: in.Pos,
 				Msg: fmt.Sprintf("call-graph hole: callee %q is neither a module function nor a modeled builtin; effects unknown", in.Callee),
 			})
 		}
@@ -357,7 +357,7 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 		s.Unknown = true
 		return
 	}
-	base := fc.value(bi, ii, in.Args[eff.writesPtrArg])
+	base := fc.At(bi, ii, in.Args[eff.writesPtrArg])
 	span := Interval{Lo: 0, Unbounded: true}
 	if n := len(eff.lenArgs); n > 0 {
 		length := int64(1)
@@ -367,12 +367,13 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 				bounded = false
 				break
 			}
-			v := fc.value(bi, ii, in.Args[la])
-			if v.k != rng || v.hi < 0 || v.hi > boundClamp || length > 0 && v.hi > 0 && length > boundClamp/v.hi {
+			v := fc.At(bi, ii, in.Args[la])
+			if v.Kind != analysis.Range || v.Hi < 0 || v.Hi > analysis.ValueClamp ||
+				length > 0 && v.Hi > 0 && length > analysis.ValueClamp/v.Hi {
 				bounded = false
 				break
 			}
-			length *= v.hi
+			length *= v.Hi
 		}
 		if bounded {
 			if length <= 0 {
@@ -385,13 +386,13 @@ func (st *modRefState) callEffects(fc *funcCtx, s *Summary, bi, ii int, in *ir.I
 	} else {
 		span = Interval{Lo: 0, Unbounded: true} // strcpy: starts at dst, length unknown
 	}
-	if base.k == top && fc.regionPtr(in.Args[eff.writesPtrArg]) {
+	if base.Kind == analysis.Top && fc.regionPtr(in.Args[eff.writesPtrArg]) {
 		return // heap/frame-directed destination: the write stays out of globals
 	}
 	if !st.applySpan(s, base, span) && diags != nil {
 		*diags = append(*diags, analysis.Diagnostic{
 			ID: analysis.IDCallGraphHole, Sev: analysis.SevWarn, Pass: interprocPass,
-			Func: fc.f.Name, Block: bi, Instr: ii, Line: in.Pos,
+			Func: fc.F.Name, Block: bi, Instr: ii, Line: in.Pos,
 			Msg: fmt.Sprintf("builtin %s writes through an unresolvable destination; globals degrade to whole-section", in.Callee),
 		})
 	}

@@ -212,7 +212,7 @@ func rcBin(op ir.BinOp, a, b rclass) rclass {
 // start at top (unknown sign); every other register climbs the finite
 // lattice, with Small bounds widened to nn after rcWidenLimit growths.
 func computeClasses(fc *funcCtx) []rclass {
-	f := fc.f
+	f := fc.F
 	cls := make([]rclass, f.NumRegs)
 	grow := make([]int, f.NumRegs)
 	for p := 0; p < f.NumParams && p < len(cls); p++ {
@@ -250,13 +250,13 @@ func computeClasses(fc *funcCtx) []rclass {
 		case ir.OpBin:
 			return rcBin(in.Bin, get(in.A), get(in.B))
 		case ir.OpCall:
-			if allocCallees[in.Callee] || reallocCallees[in.Callee] {
+			if analysis.AllocCallees[in.Callee] || analysis.ReallocCallees[in.Callee] {
 				return rclass{k: rcHeap}
 			}
-			if fc.rets != nil {
-				if v := fc.rets.retOf(in.Callee); v.k == rng && v.lo >= 0 {
-					if v.hi <= rcSmallCap {
-						return rclass{k: rcSmall, hi: v.hi}
+			if fc.Returns != nil {
+				if v := fc.Returns(in.Callee); v.Kind == analysis.Range && v.Lo >= 0 {
+					if v.Hi <= rcSmallCap {
+						return rclass{k: rcSmall, hi: v.Hi}
 					}
 					return rclass{k: rcNN, n: 1} // ret bounds clamp at 2^40
 				}
@@ -315,67 +315,53 @@ func (fc *funcCtx) regionPtr(r int) bool {
 // diagnostic) are deterministic.
 type retOracle struct {
 	ctxs   map[string]*funcCtx
-	memo   map[string]absVal
+	memo   map[string]analysis.Value
 	inProg map[string]bool
 }
 
 func newRetOracle(ctxs map[string]*funcCtx) *retOracle {
 	return &retOracle{
 		ctxs:   ctxs,
-		memo:   make(map[string]absVal, len(ctxs)),
+		memo:   make(map[string]analysis.Value, len(ctxs)),
 		inProg: make(map[string]bool),
 	}
 }
 
 // retOf returns the interval of fn's return value, or top for unknown
 // callees, void/value-less returns, recursion, and unbounded results.
-func (o *retOracle) retOf(fn string) absVal {
+func (o *retOracle) retOf(fn string) analysis.Value {
 	if v, ok := o.memo[fn]; ok {
 		return v
 	}
 	fc := o.ctxs[fn]
 	if fc == nil || o.inProg[fn] {
-		return topVal
+		return analysis.TopValue
 	}
 	o.inProg[fn] = true
-	v, seen := topVal, false
-	for bi, b := range fc.f.Blocks {
+	v, seen := analysis.TopValue, false
+	for bi, b := range fc.F.Blocks {
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
 			if in.Op != ir.OpRet {
 				continue
 			}
-			rv := topVal
+			rv := analysis.TopValue
 			if in.A >= 0 {
-				if e := fc.value(bi, ii, in.A); e.k == rng {
+				if e := fc.At(bi, ii, in.A); e.Kind == analysis.Range {
 					rv = e
 				}
 			}
 			switch {
 			case !seen:
 				v, seen = rv, true
-			case v.k != rng || rv.k != rng:
-				v = topVal
+			case v.Kind != analysis.Range || rv.Kind != analysis.Range:
+				v = analysis.TopValue
 			default:
-				v = rangeVal(min64(v.lo, rv.lo), max64(v.hi, rv.hi))
+				v = analysis.RangeValue(min(v.Lo, rv.Lo), max(v.Hi, rv.Hi))
 			}
 		}
 	}
 	delete(o.inProg, fn)
 	o.memo[fn] = v
 	return v
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,21 +1,14 @@
 // Package sanitize implements the static check-elision analysis behind
-// passes.SanitizerPass: an intra-procedural bounds/escape analysis over the
-// existing CFG + reaching-definitions machinery that proves loads and
-// stores in-bounds so their shadow checks can be dropped.
+// passes.SanitizerPass: it proves loads and stores in-bounds so their
+// shadow checks can be dropped. Addresses are evaluated in the shared
+// register value domain, analysis.Values, with its narrow-load rule off
+// (see Values.NoNarrowLoads); this package adds only the bounds test and
+// the heap escape check.
 //
-// The abstract domain tracks, per register use, one of:
-//
-//	range      a value interval [lo,hi] (constants, and-masked indices,
-//	           sums/products of ranges)
-//	frame+off  frame base plus an offset interval
-//	global+off address of global g plus an offset interval
-//	heap+off   a non-escaping allocation of statically known size, plus
-//	           an offset interval
-//	top        anything else
-//
-// An access base+Imm of width w is elidable when the region is known and
-// off.lo+Imm >= 0 && off.hi+Imm+w <= region size. Heap regions are usable
-// only while the allocation provably does not escape the function (its
+// An access base+Imm of width w is elidable when its frame, global or
+// constant-size heap region is known and off.lo+Imm >= 0 &&
+// off.hi+Imm+w <= region size. Heap regions are usable only while the
+// allocation provably does not escape the function (its
 // pointer is never a call argument and never stored to memory), since an
 // escaped pointer could be freed behind the analysis's back.
 //
@@ -39,51 +32,16 @@ type Access struct {
 	Block, Instr int
 }
 
-// boundClamp keeps interval arithmetic far from int64 overflow; bounds
-// beyond it collapse to top.
-const boundClamp = int64(1) << 40
-
-type kind uint8
-
-const (
-	top kind = iota
-	rng
-	frameOff
-	globalOff
-	heapOff
-)
-
-type absVal struct {
-	k      kind
-	lo, hi int64 // value bounds (rng) or offset bounds (regions)
-	g      int64 // global index (globalOff)
-	size   int64 // allocation size (heapOff)
-	def    int   // defining site index of the allocation (heapOff)
-}
-
-var topVal = absVal{k: top}
-
-func rangeVal(lo, hi int64) absVal {
-	if lo < -boundClamp || hi > boundClamp || lo > hi {
-		return topVal
-	}
-	return absVal{k: rng, lo: lo, hi: hi}
-}
-
 type analyzer struct {
-	m  *ir.Module
-	f  *ir.Func
-	rd *analysis.ReachingDefs
-
-	memo    map[int]absVal
-	inProg  map[int]bool
+	*analysis.Values
 	escMemo map[int]bool
 }
 
 // Analyze returns the set of load/store sites in f whose shadow check is
 // statically provably unnecessary.
 func Analyze(m *ir.Module, f *ir.Func) map[Access]bool {
-	a := newAnalyzer(m, f)
+	a := &analyzer{Values: analysis.NewValues(m, f), escMemo: make(map[int]bool)}
+	a.NoNarrowLoads = true
 	out := make(map[Access]bool)
 	for bi, b := range f.Blocks {
 		for ii := range b.Instrs {
@@ -99,196 +57,21 @@ func Analyze(m *ir.Module, f *ir.Func) map[Access]bool {
 	return out
 }
 
-func newAnalyzer(m *ir.Module, f *ir.Func) *analyzer {
-	cfg := analysis.BuildCFG(f)
-	return &analyzer{
-		m: m, f: f, rd: analysis.ComputeReachingDefs(cfg),
-		memo:    make(map[int]absVal),
-		inProg:  make(map[int]bool),
-		escMemo: make(map[int]bool),
-	}
-}
-
 // inBounds decides whether the access at (bi,ii) is provably within its
 // base region.
 func (a *analyzer) inBounds(bi, ii int, in *ir.Instr) bool {
-	v := a.resolveUse(bi, ii, in.A)
+	v := a.At(bi, ii, in.A)
 	w := int64(in.Size)
-	lo, hi := v.lo+in.Imm, v.hi+in.Imm
-	switch v.k {
-	case frameOff:
-		return lo >= 0 && hi+w <= a.f.FrameSize
-	case globalOff:
-		if v.g < 0 || v.g >= int64(len(a.m.Globals)) {
-			return false
-		}
-		return lo >= 0 && hi+w <= a.m.Globals[v.g].Size
-	case heapOff:
-		return !a.escapes(v.def) && lo >= 0 && hi+w <= v.size
+	lo, hi := v.Lo+in.Imm, v.Hi+in.Imm
+	switch v.Kind {
+	case analysis.FrameOff:
+		return lo >= 0 && hi+w <= a.F.FrameSize
+	case analysis.GlobalOff:
+		return lo >= 0 && hi+w <= a.M.Globals[v.Global].Size
+	case analysis.HeapOff:
+		return v.Size > 0 && !a.escapes(v.Def) && lo >= 0 && hi+w <= v.Size
 	}
 	return false
-}
-
-// resolveUse computes the abstract value of register r as read by the
-// instruction at (bi, ii): the value of r's unique reaching definition, or
-// top when several definitions (loop-carried values, merges) may reach.
-func (a *analyzer) resolveUse(bi, ii, r int) absVal {
-	site := a.rd.UseSite(bi, ii, r)
-	if site < 0 {
-		return topVal
-	}
-	return a.evalSite(site)
-}
-
-// evalSite computes the abstract value produced by one definition site,
-// memoized; a cycle (loop-carried dependence) resolves to top.
-func (a *analyzer) evalSite(site int) absVal {
-	if v, ok := a.memo[site]; ok {
-		return v
-	}
-	if a.inProg[site] {
-		return topVal
-	}
-	a.inProg[site] = true
-	v := a.evalSiteUncached(site)
-	delete(a.inProg, site)
-	a.memo[site] = v
-	return v
-}
-
-func (a *analyzer) evalSiteUncached(site int) absVal {
-	s := a.rd.Sites[site]
-	if s.Block < 0 {
-		return topVal // parameter: caller-controlled
-	}
-	in := &a.f.Blocks[s.Block].Instrs[s.Instr]
-	switch in.Op {
-	case ir.OpConst:
-		return rangeVal(in.Imm, in.Imm)
-	case ir.OpMov:
-		return a.resolveUse(s.Block, s.Instr, in.A)
-	case ir.OpFrameAddr:
-		return absVal{k: frameOff, lo: in.Imm, hi: in.Imm}
-	case ir.OpGlobalAddr:
-		return absVal{k: globalOff, g: in.Imm}
-	case ir.OpBin:
-		l := a.resolveUse(s.Block, s.Instr, in.A)
-		r := a.resolveUse(s.Block, s.Instr, in.B)
-		return evalBin(in.Bin, l, r)
-	case ir.OpCall:
-		return a.evalAlloc(site, s, in)
-	}
-	return topVal
-}
-
-// evalAlloc recognizes allocation calls with a provably constant size.
-func (a *analyzer) evalAlloc(site int, s analysis.DefSite, in *ir.Instr) absVal {
-	var size int64 = -1
-	switch in.Callee {
-	case "malloc", "closurex_malloc":
-		if len(in.Args) == 1 {
-			if v := a.resolveUse(s.Block, s.Instr, in.Args[0]); v.k == rng && v.lo == v.hi && v.lo > 0 {
-				size = v.lo
-			}
-		}
-	case "calloc", "closurex_calloc":
-		if len(in.Args) == 2 {
-			n := a.resolveUse(s.Block, s.Instr, in.Args[0])
-			e := a.resolveUse(s.Block, s.Instr, in.Args[1])
-			if n.k == rng && n.lo == n.hi && e.k == rng && e.lo == e.hi &&
-				n.lo > 0 && e.lo > 0 && n.lo <= boundClamp/e.lo {
-				size = n.lo * e.lo
-			}
-		}
-	}
-	if size <= 0 {
-		return topVal
-	}
-	return absVal{k: heapOff, size: size, def: site}
-}
-
-// evalBin implements interval arithmetic with region offsets.
-func evalBin(op ir.BinOp, l, r absVal) absVal {
-	region := func(base absVal, off absVal, neg bool) absVal {
-		if off.k != rng {
-			return topVal
-		}
-		lo, hi := off.lo, off.hi
-		if neg {
-			lo, hi = -off.hi, -off.lo
-		}
-		out := base
-		out.lo += lo
-		out.hi += hi
-		if out.lo < -boundClamp || out.hi > boundClamp {
-			return topVal
-		}
-		return out
-	}
-	switch op {
-	case ir.Add:
-		switch {
-		case l.k == rng && r.k == rng:
-			return rangeVal(l.lo+r.lo, l.hi+r.hi)
-		case (l.k == frameOff || l.k == globalOff || l.k == heapOff) && r.k == rng:
-			return region(l, r, false)
-		case (r.k == frameOff || r.k == globalOff || r.k == heapOff) && l.k == rng:
-			return region(r, l, false)
-		}
-	case ir.Sub:
-		switch {
-		case l.k == rng && r.k == rng:
-			return rangeVal(l.lo-r.hi, l.hi-r.lo)
-		case (l.k == frameOff || l.k == globalOff || l.k == heapOff) && r.k == rng:
-			return region(l, r, true)
-		}
-	case ir.Mul:
-		if l.k == rng && r.k == rng {
-			c := []int64{l.lo * r.lo, l.lo * r.hi, l.hi * r.lo, l.hi * r.hi}
-			lo, hi := c[0], c[0]
-			for _, v := range c[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			// Guard the products themselves against wraparound.
-			if abs64(l.lo) > boundClamp || abs64(l.hi) > boundClamp ||
-				abs64(r.lo) > boundClamp || abs64(r.hi) > boundClamp {
-				return topVal
-			}
-			return rangeVal(lo, hi)
-		}
-	case ir.Shl:
-		if l.k == rng && r.k == rng && r.lo == r.hi && r.lo >= 0 && r.lo < 32 {
-			return evalBin(ir.Mul, l, rangeVal(1<<r.lo, 1<<r.lo))
-		}
-	case ir.And:
-		// x & mask with a non-negative constant mask lands in [0, mask]
-		// regardless of x — the "bounded index" idiom (buf[i & 7]).
-		if r.k == rng && r.lo == r.hi && r.lo >= 0 {
-			return rangeVal(0, r.lo)
-		}
-		if l.k == rng && l.lo == l.hi && l.lo >= 0 {
-			return rangeVal(0, l.lo)
-		}
-	case ir.Rem:
-		// x % c for constant c > 0: MinC Rem is signed, so the result is
-		// in (-c, c); only a provably non-negative x gives [0, c).
-		if l.k == rng && r.k == rng && r.lo == r.hi && r.lo > 0 && l.lo >= 0 {
-			return rangeVal(0, r.lo-1)
-		}
-	}
-	return topVal
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // escapes reports whether the allocation made at def site `site` may
@@ -301,35 +84,9 @@ func (a *analyzer) escapes(site int) bool {
 	if v, ok := a.escMemo[site]; ok {
 		return v
 	}
-	s := a.rd.Sites[site]
-	root := &a.f.Blocks[s.Block].Instrs[s.Instr]
-	tainted := make([]bool, a.f.NumRegs)
-	if root.Dst >= 0 {
-		tainted[root.Dst] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range a.f.Blocks {
-			for ii := range b.Instrs {
-				in := &b.Instrs[ii]
-				var from bool
-				switch in.Op {
-				case ir.OpMov:
-					from = tainted[in.A]
-				case ir.OpBin:
-					if in.Bin == ir.Add || in.Bin == ir.Sub {
-						from = tainted[in.A] || tainted[in.B]
-					}
-				}
-				if from && in.Dst >= 0 && !tainted[in.Dst] {
-					tainted[in.Dst] = true
-					changed = true
-				}
-			}
-		}
-	}
+	tainted := analysis.DerivedFrom(a.F, a.RD.Sites[site].Reg)
 	esc := false
-	for _, b := range a.f.Blocks {
+	for _, b := range a.F.Blocks {
 		for ii := range b.Instrs {
 			in := &b.Instrs[ii]
 			switch in.Op {

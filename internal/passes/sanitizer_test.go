@@ -218,3 +218,36 @@ func TestVerifyElidedAccessNotFlagged(t *testing.T) {
 		t.Fatalf("elided access flagged by CLX113: %v", ds)
 	}
 }
+
+// TestSanitizerPassKeepsByteIndexedCheck: a store indexed by a byte load,
+// buf[*(u8*)p] into a 256-byte frame buffer, is in bounds for every index
+// the load can produce, but the sanitizer evaluates with
+// analysis.Values.NoNarrowLoads set and so keeps the store's check.
+func TestSanitizerPassKeepsByteIndexedCheck(t *testing.T) {
+	b := ir.NewBuilder("f", 1)
+	buf := b.FrameAddr(b.Alloca(256))
+	idx := b.Load(0, 0, 1)
+	addr := b.Bin(ir.Add, buf, idx)
+	zero := b.Const(0)
+	b.Store(addr, zero, 0, 1)
+	b.Ret(zero)
+	f, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &ir.Module{Funcs: []*ir.Func{f}}
+	if err := (SanitizerPass{Elide: true}).Run(m); err != nil {
+		t.Fatal(err)
+	}
+	instrs := f.Blocks[0].Instrs
+	for i := range instrs {
+		if instrs[i].Op != ir.OpStore {
+			continue
+		}
+		if instrs[i].SanElide || i == 0 || instrs[i-1].Op != ir.OpSanCheck {
+			t.Fatalf("byte-indexed store lost its check:\n%s", ir.Print(m))
+		}
+		return
+	}
+	t.Fatal("store not found")
+}
