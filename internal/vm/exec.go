@@ -98,6 +98,7 @@ func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
 	copy(regs, args)
 
 	bi := 0
+block:
 	for {
 		blk := f.Blocks[bi]
 		for ii := range blk.Instrs {
@@ -113,11 +114,19 @@ func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
 			case ir.OpMov:
 				regs[in.Dst] = regs[in.A]
 			case ir.OpBin:
-				r, flt := v.binop(in, regs[in.A], regs[in.B])
-				if flt != nil {
-					return 0, flt
+				// The two commonest operators skip the binop call.
+				switch a, b := regs[in.A], regs[in.B]; in.Bin {
+				case ir.Add:
+					regs[in.Dst] = a + b
+				case ir.Sub:
+					regs[in.Dst] = a - b
+				default:
+					r, flt := v.binop(in, a, b)
+					if flt != nil {
+						return 0, flt
+					}
+					regs[in.Dst] = r
 				}
-				regs[in.Dst] = r
 			case ir.OpUn:
 				switch in.Un {
 				case ir.Neg:
@@ -174,20 +183,22 @@ func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
 				return 0, nil
 			case ir.OpBr:
 				bi = in.Targets[0]
+				continue block
 			case ir.OpCondBr:
 				if regs[in.A] != 0 {
 					bi = in.Targets[0]
 				} else {
 					bi = in.Targets[1]
 				}
+				continue block
 			case ir.OpCov:
 				loc := uint64(in.Imm)
 				idx := (loc ^ v.prevLoc) & (CovMapSize - 1)
-				// covMap and covIdx are always bound (VMs without an
-				// external map or index carry scratch ones), so no nil
-				// check in the hot loop.
-				v.covMap[idx]++
-				v.covIdx[idx>>CovLineShift] = 1
+				// cov and covIdx are always bound (VMs without an external
+				// map or index carry scratch ones), so no nil check in the
+				// hot loop, and the masked index needs no bounds check.
+				v.cov[idx]++
+				v.covIdx[(idx>>CovLineShift)&(CovIndexSize-1)] = 1
 				v.prevLoc = loc >> 1
 				if v.traceEdges {
 					v.pathHash = (v.pathHash ^ idx) * 1099511628211
@@ -206,15 +217,10 @@ func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
 					return 0, flt
 				}
 			}
-			if in.IsTerminator() {
-				break
-			}
 		}
-		if t := blk.Terminator(); t == nil || t.Op == ir.OpRet || t.Op == ir.OpUnreachable {
-			// Ret/Unreachable already returned above; nil cannot happen on
-			// verified modules.
-			return 0, v.fault(FaultUnreachable, nil, 0, "fell off block end")
-		}
+		// Every terminator returns or jumps to its target block above, so
+		// only a block without one gets here (never on verified modules).
+		return 0, v.fault(FaultUnreachable, nil, 0, "fell off block end")
 	}
 }
 
