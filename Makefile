@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race faultcheck lint staticcheck sanitize interproc harness-audit chaos compile transval synth fuzz check bench benchjson clean
+.PHONY: all build test vet race faultcheck lint staticcheck sanitize interproc harness-audit chaos synth fuzz check bench benchjson clean
 
 # Pinned staticcheck release for the opt-in `staticcheck` target.
 STATICCHECK_VERSION ?= 2025.1
@@ -95,28 +95,6 @@ chaos:
 	$(GO) test -race -timeout 15m -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError' ./internal/fuzz/
 	$(GO) run ./cmd/closurex-bench -chaos -chaos-execs 20000 -chaos-json BENCH_chaos.json
 
-# Compiled-tier gate: the interp-vs-compiled differential suites — the
-# VM-level matrix in internal/vm/compile (per-seed observables, timeout
-# sites, repeat-exec identity) and the campaign-level matrix in
-# internal/core (coverage/corpus/crash/hang identity across sanitize,
-# interproc and injected-restore-fault modes, fixed-seed determinism) —
-# run plain and then under -race, since the compiled program cache is
-# shared across shard VMs.
-compile:
-	$(GO) test -count=1 ./internal/vm/compile/
-	$(GO) test -count=1 -run 'Backend|Compiled' ./internal/core/ ./internal/fuzz/
-	$(GO) test -race -timeout 15m -count=1 ./internal/vm/compile/
-
-# Translation-validation gate: the transval checker suite (certificate
-# obligations, seeded-defect detection, JSON stability) plain and under
-# -race (the program cache shares certificates across goroutines), then
-# the lint driver certifying every registered target's compiled program
-# against the IR (CLX123-127 fail the build).
-transval:
-	$(GO) test -count=1 ./internal/analysis/transval/
-	$(GO) test -race -timeout 15m -count=1 -run 'Transval|Certif' ./internal/analysis/transval/ ./internal/core/
-	$(GO) run ./cmd/closurex-lint -q -target all -transval
-
 # Harness-synthesis gate: the synth suite plain and under -race (the
 # synthesized targets register into the shared registry and run real
 # campaigns), then the all-targets synthesis report — a build or
@@ -135,7 +113,7 @@ synth:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzInstrumentAnalyses -fuzztime 30s ./internal/core/
 
-check: vet test race faultcheck lint sanitize interproc harness-audit chaos compile transval synth fuzz benchjson
+check: vet test race faultcheck lint sanitize interproc harness-audit chaos synth fuzz benchjson
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -149,25 +127,17 @@ bench:
 # sweep (manual vs manual+synthesized coverage per target ->
 # BENCH_synth.json; any CLX130 fails the bench), so throughput,
 # shadow-check cost, restore scope and harness quality are tracked as
-# artifacts rather than eyeballed from logs.
-# Machine-readable benchmark artifacts (continued): the compiled-tier
-# speedup table (interp vs compiled across every registered target, with
-# the inline identity cross-check -> BENCH_compile.json), then the
-# translation-validation sweep merged into the same envelope (per-target
-# certification time + certified surface; uncertifiable target = hard
-# failure). Every throughput figure is the median and [q1, q3] of five
-# alternating rounds; -buildvcs=true stamps the commit into each timed
-# report's host envelope (plain `go run` records none). A violated
-# tripwire (edges_match, deterministic_off, shard restarts) exits 1 after
-# the artifact is written.
+# artifacts rather than eyeballed from logs. Every throughput figure is
+# the median and [q1, q3] of five alternating rounds; -buildvcs=true
+# stamps the commit into each timed report's host envelope (plain `go run`
+# records none). A violated tripwire (edges_match, deterministic_off,
+# shard restarts) exits 1 after the artifact is written.
 benchjson:
 	$(GO) run -buildvcs=true ./cmd/closurex-bench -parallel-scaling -parallel-execs 20000 -parallel-json BENCH_parallel.json
 	$(GO) run -buildvcs=true ./cmd/closurex-bench -sanitizer-overhead -sanitizer-execs 20000 -sanitizer-json BENCH_sanitizer.json
 	$(GO) run -buildvcs=true ./cmd/closurex-bench -restore-elision -interproc-execs 20000 -interproc-json BENCH_interproc.json
 	$(GO) run -buildvcs=true ./cmd/closurex-bench -dict-gain -dict-execs 20000 -dict-json BENCH_harness.json
 	$(GO) run -buildvcs=true ./cmd/closurex-bench -synth-gain -synth-execs 10000 -synth-json BENCH_synth.json
-	$(GO) run -buildvcs=true ./cmd/closurex-bench -compile-speedup -compile-execs 20000 -compile-json BENCH_compile.json
-	$(GO) run -buildvcs=true ./cmd/closurex-bench -transval -transval-json BENCH_compile.json
 
 clean:
 	$(GO) clean ./...

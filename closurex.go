@@ -53,22 +53,6 @@ func Benchmarks() []string {
 type Options struct {
 	// Mechanism is one of Mechanisms(); default "closurex".
 	Mechanism string
-	// Backend selects the VM execution engine for every process image the
-	// mechanism builds: "" or "interp" for the reference interpreter,
-	// "compiled" for the closure-chain compiled tier (pre-resolved direct
-	// threading with superinstruction fusion; bit-identical coverage,
-	// paths, faults and hang verdicts; a geomean 1.30x the interpreter's
-	// execs/s over five-round medians in BENCH_compile.json).
-	Backend string
-	// SentinelCrossBackend makes the divergence sentinel's fresh-process
-	// reference run on the OTHER backend (compiled campaign → interpreter
-	// reference and vice versa), so every probe differentially tests the
-	// two execution tiers against each other on real campaign inputs.
-	// Requires SentinelEvery > 0; without it building the fuzzer fails.
-	// A campaign that arms the compiled tier (Backend "compiled" or a
-	// cross-backend sentinel) refuses to start unless analysis/transval
-	// certifies the compiled program against the IR.
-	SentinelCrossBackend bool
 	// Seed seeds the deterministic campaign RNG.
 	Seed uint64
 	// MaxInputLen bounds mutated inputs (default 4096).
@@ -271,22 +255,20 @@ func newFuzzer(t *targets.Target, mechanism string, opts Options) (*Fuzzer, erro
 // instanceOptions maps the public Options onto core's instance knobs.
 func instanceOptions(opts Options) core.InstanceOptions {
 	io := core.InstanceOptions{
-		TrialSeed:            opts.Seed,
-		Budget:               opts.Budget,
-		DeferInit:            opts.DeferInit,
-		Files:                opts.Files,
-		SentinelEvery:        opts.SentinelEvery,
-		DeterministicRand:    opts.DeterministicRand,
-		Stop:                 opts.Stop,
-		ResumeFrom:           opts.ResumeFrom,
-		Jobs:                 opts.Jobs,
-		MaxShardRestarts:     opts.MaxShardRestarts,
-		ShardBackoff:         opts.ShardBackoff,
-		Interproc:            opts.Interproc,
-		AuditRestore:         opts.AuditRestore,
-		AutoDict:             opts.AutoDict,
-		Backend:              opts.Backend,
-		SentinelCrossBackend: opts.SentinelCrossBackend,
+		TrialSeed:         opts.Seed,
+		Budget:            opts.Budget,
+		DeferInit:         opts.DeferInit,
+		Files:             opts.Files,
+		SentinelEvery:     opts.SentinelEvery,
+		DeterministicRand: opts.DeterministicRand,
+		Stop:              opts.Stop,
+		ResumeFrom:        opts.ResumeFrom,
+		Jobs:              opts.Jobs,
+		MaxShardRestarts:  opts.MaxShardRestarts,
+		ShardBackoff:      opts.ShardBackoff,
+		Interproc:         opts.Interproc,
+		AuditRestore:      opts.AuditRestore,
+		AutoDict:          opts.AutoDict,
 	}
 	if opts.Sanitize {
 		io.Sanitize = core.SanitizeElide

@@ -98,7 +98,6 @@ func TestNewFuzzerRejectsInertOptions(t *testing.T) {
 		want string
 	}{
 		{"resilient-forkserver", Options{Mechanism: "forkserver", Resilient: true}, "resilience"},
-		{"cross-backend-no-sentinel", Options{SentinelCrossBackend: true}, "SentinelEvery"},
 		{"no-elide-no-sanitize", Options{SanitizeNoElide: true}, "SanitizeNoElide"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

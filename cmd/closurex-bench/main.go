@@ -49,13 +49,6 @@ func main() {
 		parallelJSON = flag.String("parallel-json", "", "also write the scaling report to this JSON file (e.g. BENCH_parallel.json)")
 	)
 	var (
-		compSpeedup = flag.Bool("compile-speedup", false, "run the compiled-tier speedup sweep (interp vs compiled backend on every target, with inline identity checks)")
-		compExecs   = flag.Int64("compile-execs", 20000, "executions per backend per target")
-		compJSON    = flag.String("compile-json", "", "also write the compiled-tier report to this JSON file (e.g. BENCH_compile.json)")
-		tvRun       = flag.Bool("transval", false, "run the translation-validation sweep: certify every target's compiled program against the IR and report per-target certification time")
-		tvJSON      = flag.String("transval-json", "", "merge the certification report into this BENCH_compile.json (speedup rows preserved)")
-	)
-	var (
 		sanOverhead = flag.Bool("sanitizer-overhead", false, "run the sanitizer-overhead sweep (modes off, on, on+elide)")
 		sanExecs    = flag.Int64("sanitizer-execs", 20000, "executions per sanitize mode")
 		sanJSON     = flag.String("sanitizer-json", "", "also write the sanitizer report to this JSON file (e.g. BENCH_sanitizer.json)")
@@ -82,12 +75,6 @@ func main() {
 	if *parallelJSON != "" {
 		*scaling = true
 	}
-	if *compJSON != "" {
-		*compSpeedup = true
-	}
-	if *tvJSON != "" {
-		*tvRun = true
-	}
 	if *sanJSON != "" {
 		*sanOverhead = true
 	}
@@ -103,7 +90,7 @@ func main() {
 	if *chaosJSON != "" {
 		*chaos = true
 	}
-	if *table == "" && *figure == "" && !*ablation && !*scaling && !*compSpeedup && !*tvRun && !*sanOverhead && !*elision && !*dictGain && !*synthGain && !*chaos {
+	if *table == "" && *figure == "" && !*ablation && !*scaling && !*sanOverhead && !*elision && !*dictGain && !*synthGain && !*chaos {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -197,44 +184,11 @@ func main() {
 		}
 		fmt.Print(experiments.FormatScaling(rep))
 		writeReport(*parallelJSON, "scaling", rep)
-		for _, sw := range rep.Sweeps {
-			for _, r := range sw.Rows {
-				if r.Restarts > 0 || r.Quarantined > 0 {
-					fatalf("parallel scaling: backend=%s jobs=%d had %d shard restart(s), %d quarantine(s) in a fault-free run",
-						sw.Backend, r.Jobs, r.Restarts, r.Quarantined)
-				}
+		for _, r := range rep.Rows {
+			if r.Restarts > 0 || r.Quarantined > 0 {
+				fatalf("parallel scaling: jobs=%d had %d shard restart(s), %d quarantine(s) in a fault-free run",
+					r.Jobs, r.Restarts, r.Quarantined)
 			}
-		}
-	}
-
-	if *compSpeedup {
-		rep, err := experiments.RunCompileSpeedup(*compExecs, *seed)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatCompile(rep))
-		writeReport(*compJSON, "compiled-tier", rep)
-		if !rep.AllIdentical {
-			fatalf("compiled tier diverged from the interpreter")
-		}
-	}
-
-	if *tvRun {
-		rep, err := experiments.RunTransval()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Print(experiments.FormatTransval(rep))
-		if *tvJSON != "" {
-			if err := experiments.AttachTransvalJSON(*tvJSON, rep); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("certification report merged into %s\n", *tvJSON)
-		}
-		// Tripwire: an uncertifiable target means the compiled tier cannot
-		// be trusted for any result in the benchmark suite.
-		if !rep.AllCertified {
-			fatalf("translation validation failed: a target's compiled program did not certify")
 		}
 	}
 

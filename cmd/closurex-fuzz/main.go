@@ -43,8 +43,6 @@ func main() {
 		synthName  = flag.String("synth-target", "", "synthesize, register and fuzz a dispatch harness for this benchmark's under-exercised functions")
 		file       = flag.String("file", "", "MinC source file to fuzz")
 		mechanism  = flag.String("mechanism", "closurex", "fresh | forkserver | persistent-naive | closurex")
-		backend    = flag.String("backend", "interp", "VM execution engine: interp (reference interpreter) | compiled (closure-chain tier; bit-identical, faster)")
-		sentCross  = flag.Bool("sentinel-cross-backend", false, "with -sentinel-every: run the sentinel's fresh-process reference on the other backend, differentially testing the execution tiers")
 		duration   = flag.Duration("duration", 10*time.Second, "fuzzing time")
 		seed       = flag.Uint64("seed", 1, "campaign RNG seed")
 		status     = flag.Duration("status", 2*time.Second, "status interval")
@@ -93,21 +91,19 @@ func main() {
 	}()
 
 	opts := closurex.Options{
-		Mechanism:            *mechanism,
-		Backend:              *backend,
-		SentinelCrossBackend: *sentCross,
-		Seed:                 *seed,
-		Sanitize:             *sanitize,
-		SanitizeNoElide:      *noElide,
-		Resilient:            *resilient,
-		Interproc:            *interproc,
-		AuditRestore:         *auditRest,
-		AutoDict:             *autoDict,
-		SentinelEvery:        *sentEvery,
-		Stop:                 stop,
-		Jobs:                 *jobs,
-		MaxShardRestarts:     *maxShardRs,
-		ShardBackoff:         *shardBack,
+		Mechanism:        *mechanism,
+		Seed:             *seed,
+		Sanitize:         *sanitize,
+		SanitizeNoElide:  *noElide,
+		Resilient:        *resilient,
+		Interproc:        *interproc,
+		AuditRestore:     *auditRest,
+		AutoDict:         *autoDict,
+		SentinelEvery:    *sentEvery,
+		Stop:             stop,
+		Jobs:             *jobs,
+		MaxShardRestarts: *maxShardRs,
+		ShardBackoff:     *shardBack,
 	}
 	if *ckptPath != "" {
 		// Bit-identical resume needs the target's entropy pinned.

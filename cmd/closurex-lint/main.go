@@ -25,15 +25,6 @@
 // derives the auto-dictionary. A deterministic per-target score card is
 // printed, and -harness-json writes the cards as a byte-stable JSON array.
 //
-// With -transval the compiled closure-chain tier's translation validation
-// runs after the gate: internal/vm/compile is asked for its per-function
-// certificates and analysis/transval independently re-derives every claim
-// from the IR — branch-target map vs. block concatenation, fusion-pattern
-// legality with liveness proofs for elided intermediates, folded-constant
-// re-evaluation, callee bindings, and instruction-exact budget-table
-// recounts (CLX123-127). -transval-json writes the transval findings as a
-// byte-stable JSON array (empty array when everything certifies).
-//
 // With -synth the static harness synthesizer runs after the gate: exported
 // non-entry functions are ranked by the audit's reachability/taint facts,
 // a type- and fact-driven argument plan is derived per signature, and a
@@ -59,8 +50,6 @@
 //	closurex-lint -target all -interproc-report
 //	closurex-lint -target all -harness-report
 //	closurex-lint -target all -harness-json cards.json
-//	closurex-lint -target all -transval
-//	closurex-lint -target all -transval-json transval.json
 //	closurex-lint -target all -synth
 //	closurex-lint -target all -synth-json synth.json
 //	closurex-lint -target all -format json
@@ -86,10 +75,8 @@ import (
 	"closurex/internal/analysis/interproc"
 	"closurex/internal/analysis/sanitize"
 	"closurex/internal/analysis/synth"
-	"closurex/internal/analysis/transval"
 	"closurex/internal/core"
 	"closurex/internal/targets"
-	"closurex/internal/vm/compile"
 )
 
 func main() {
@@ -104,8 +91,6 @@ func main() {
 		ipReport   = flag.Bool("interproc-report", false, "instrument with InterprocPass and print the per-function restore-elision table")
 		haReport   = flag.Bool("harness-report", false, "run the harness-quality audit (CLX119-121) and print per-target score cards")
 		haJSON     = flag.String("harness-json", "", "write the harness score cards as a JSON array to this path (implies -harness-report)")
-		tvReport   = flag.Bool("transval", false, "run translation validation of the compiled tier (CLX123-127) as part of the gate")
-		tvJSON     = flag.String("transval-json", "", "write the transval findings as a byte-stable JSON array to this path (implies -transval)")
 		syReport   = flag.Bool("synth", false, "run the static harness synthesizer (CLX128-131) and print per-target synthesis summaries")
 		syJSON     = flag.String("synth-json", "", "write the synthesis reports as a byte-stable JSON array to this path (implies -synth)")
 		format     = flag.String("format", "text", "output format: text | json")
@@ -127,7 +112,6 @@ func main() {
 	}
 
 	audit := *haReport || *haJSON != ""
-	tv := *tvReport || *tvJSON != ""
 	doSynth := *syReport || *syJSON != ""
 
 	type job struct {
@@ -164,7 +148,6 @@ func main() {
 
 	failures, warnings := 0, 0
 	all := analysis.Diags{}
-	tvAll := analysis.Diags{}
 	var cards []*harnessaudit.Card
 	var reports []*synth.Report
 	for _, j := range jobs {
@@ -181,18 +164,6 @@ func main() {
 			card, cards = c, append(cards, c)
 			ds = append(ds, ads...)
 			ds.Sort()
-		}
-		var tvStats transval.Stats
-		if tv {
-			tds := transval.Check(mod)
-			tvAll.Add(j.name, tds)
-			ds = append(ds, tds...)
-			ds.Sort()
-			if len(tds) == 0 {
-				if cert, cerr := compile.CertFor(mod); cerr == nil {
-					tvStats = transval.Summarize(cert)
-				}
-			}
 		}
 		var sh *synth.Harness
 		var synthCard *harnessaudit.Card
@@ -235,10 +206,6 @@ func main() {
 		if !*quiet {
 			fmt.Printf("OK    %s (verifier + %d lints clean)\n", j.name, len(analysis.LintCatalog()))
 		}
-		if tv && !*quiet {
-			fmt.Printf("      transval: certified %d function(s), %d closures, %d fused, %d elided, %d runs\n",
-				tvStats.Funcs, tvStats.PCs, tvStats.Fused, tvStats.Elided, tvStats.Runs)
-		}
 		if card != nil {
 			fmt.Print(card.Format())
 		}
@@ -265,15 +232,6 @@ func main() {
 			fatalf(2, "encode: %v", jerr)
 		}
 		os.Stdout.Write(b)
-	}
-	if *tvJSON != "" {
-		b, jerr := tvAll.Flatten().JSON()
-		if jerr != nil {
-			fatalf(2, "encode transval findings: %v", jerr)
-		}
-		if werr := os.WriteFile(*tvJSON, b, 0o644); werr != nil {
-			fatalf(2, "%v", werr)
-		}
 	}
 	if *syJSON != "" {
 		b, jerr := synth.ReportsJSON(reports)

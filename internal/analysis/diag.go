@@ -276,17 +276,6 @@ const (
 	IDDeadDictToken = "CLX121" // dictionary token never reaches a comparison against input bytes
 )
 
-// Translation-validation catalog (analysis/transval): per-function static
-// certification of the compiled closure-chain tier against the committed
-// ir.Module. All SevError — an uncertified module must not run compiled.
-const (
-	IDBranchMapDrift  = "CLX123" // resolved target pc / block offset / call continuation wrong
-	IDIllegalFusion   = "CLX124" // span matches no legal pattern, breaks the partition, or elides a live register
-	IDFoldDrift       = "CLX125" // captured derived constant does not re-evaluate from the IR
-	IDCalleeBindDrift = "CLX126" // bound callee disagrees with name resolution or CalleeIdx
-	IDBudgetDrift     = "CLX127" // k/net/maxDip/cum run table disagrees with the instruction-exact recount
-)
-
 // Harness-synthesis catalog (analysis/synth). CLX128/129/131 are advisory
 // warnings about the synthesizable surface; CLX130 is an error because a
 // synthesized harness that fails its own certification is a synth bug, not
@@ -333,11 +322,6 @@ func Catalog() map[string]string {
 		IDCovSaturation:    "coverage geometry degraded — probe saturation or collision displacement high enough to mask new coverage",
 		IDDeadDictToken:    "dead dictionary token — no input-dataflow path carries its bytes into any comparison",
 		IDStaleCallIdx:     "cached callee index disagrees with the callee name — a call-site rewrite skipped re-resolution and both backends would dispatch wrong",
-		IDBranchMapDrift:   "compiled branch map drifted — a resolved target pc, block start or call continuation disagrees with block concatenation",
-		IDIllegalFusion:    "illegal superinstruction — a fused span matches no legal pattern, breaks the block partition, or elides a live intermediate register",
-		IDFoldDrift:        "folded constant drifted — a captured global address, pre-masked shift, degenerate divisor or fused immediate does not re-evaluate to its IR operand",
-		IDCalleeBindDrift:  "compiled callee binding drifted — a call's bound function or builtin index disagrees with name resolution or the cached `CalleeIdx`",
-		IDBudgetDrift:      "certified budget table drifted — a run's `k`/`net`/`maxDip`/`cum` counts disagree with the instruction-exact recount from the IR",
 		IDUnsynthesizable:  "unsynthesizable signature — an exported function's parameter types admit no input-byte argument plan",
 		IDUncoveredSurface: "uncovered exported surface — function unreachable from the entry and not picked up by the synthesized dispatch plan",
 		IDSynthCertFail:    "synthesized harness failed certification — the generated module tripped the verifier/lint catalog (a synth bug, not a target property)",

@@ -1,12 +1,11 @@
 package synth_test
 
-// Seeded-defect fixtures for the harness synthesizer, mirroring the
-// transval seeded-defect suite: each fixture plants exactly one condition
-// in otherwise-healthy MinC source and asserts exactly the intended
-// catalog code fires — CLX128 (unsynthesizable signature), CLX129
-// (uncovered exported surface), CLX130 (certification failure), CLX131
-// (plan shadowed by the manual harness) — with no bycatch from the other
-// three codes.
+// Seeded-defect fixtures for the harness synthesizer: each fixture plants
+// exactly one condition in otherwise-healthy MinC source and asserts
+// exactly the intended catalog code fires — CLX128 (unsynthesizable
+// signature), CLX129 (uncovered exported surface), CLX130 (certification
+// failure), CLX131 (plan shadowed by the manual harness) — with no
+// bycatch from the other three codes.
 
 import (
 	"reflect"

@@ -34,7 +34,7 @@ const (
 	IDUnreachableFn  = "CLX118" // function unreachable from target_main/closurex_init
 
 	// Call pre-resolution audit (vm.ResolveModule stamps CalleeIdx at
-	// module-commit time; both execution backends dispatch through it).
+	// module-commit time; the VM dispatches through it).
 	IDStaleCallIdx = "CLX122" // cached callee index disagrees with the callee name
 )
 
@@ -178,8 +178,7 @@ func verifyOperands(m *ir.Module, f *ir.Func, bi, ii int, in *ir.Instr,
 		// A cached callee index (stamped by vm.ResolveModule at commit
 		// time) must still name the callee it was resolved against; a
 		// mismatch means a pass rewrote call sites without invalidating
-		// the cache, and both backends would silently call the wrong
-		// function.
+		// the cache, and the VM would silently call the wrong function.
 		switch {
 		case in.CalleeIdx > 0:
 			if fi := in.CalleeIdx - 1; fi >= len(m.Funcs) || m.Funcs[fi].Name != in.Callee {

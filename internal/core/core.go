@@ -14,7 +14,6 @@ import (
 	"closurex/internal/analysis"
 	"closurex/internal/analysis/harnessaudit"
 	"closurex/internal/analysis/interproc"
-	"closurex/internal/analysis/transval"
 	"closurex/internal/execmgr"
 	"closurex/internal/faultinject"
 	"closurex/internal/fuzz"
@@ -24,7 +23,6 @@ import (
 	"closurex/internal/passes"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
-	"closurex/internal/vm/compile"
 )
 
 // Variant selects an instrumentation pipeline.
@@ -197,8 +195,8 @@ func InstrumentWith(m *ir.Module, cfg BuildConfig) (*ir.Module, error) {
 		return nil, err
 	}
 	// Module-commit point: the pipeline is done rewriting call sites, so
-	// stamp the callee-index cache both execution backends dispatch
-	// through (and CLX122 audits).
+	// stamp the callee-index cache the VM dispatches through (and CLX122
+	// audits).
 	vm.ResolveModule(out)
 	return out, nil
 }
@@ -367,35 +365,6 @@ type InstanceOptions struct {
 	// ShardBackoff is the base cooldown before a shard restart, doubling
 	// per consecutive fault (0 uses the default). Parallel instances only.
 	ShardBackoff time.Duration
-	// Backend selects the VM execution engine for every mechanism the
-	// instance builds: "" or "interp" for the reference interpreter,
-	// "compiled" for the closure-chain tier (execmgr imports it).
-	Backend string
-	// SentinelCrossBackend makes the divergence sentinel's fresh reference
-	// image run on the OTHER backend (compiled when the campaign is
-	// interpreted and vice versa), turning the replay probe into a two-
-	// sided backend differential at campaign runtime. NewInstance refuses
-	// it without SentinelEvery > 0.
-	SentinelCrossBackend bool
-}
-
-// transvalCheck runs the translation-validation gate over a built module.
-// It is a variable so the refusal path is testable: no registered target
-// fails certification (that is what the gate guarantees), so tests inject
-// a failing checker instead of manufacturing an uncertifiable build.
-var transvalCheck = func(mod *ir.Module) error {
-	if ds := transval.Check(mod); len(ds) > 0 {
-		return ds.Err()
-	}
-	return nil
-}
-
-// otherBackend maps a backend name to its differential counterpart.
-func otherBackend(name string) string {
-	if name == "" || name == vm.InterpBackend {
-		return compile.BackendName
-	}
-	return vm.InterpBackend
 }
 
 // NewInstance builds target t for the named mechanism and wires a
@@ -409,9 +378,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	if opts.Resilience != nil && mechanism != "closurex" {
 		return nil, fmt.Errorf("core: the resilience ladder wraps only the closurex mechanism, not %q", mechanism)
 	}
-	if opts.SentinelCrossBackend && opts.SentinelEvery <= 0 {
-		return nil, fmt.Errorf("core: a cross-backend sentinel needs SentinelEvery > 0")
-	}
 	variant := VariantFor(mechanism)
 	if variant == ClosureX && opts.DeferInit {
 		variant = ClosureXDeferInit
@@ -423,17 +389,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", t.Name, err)
-	}
-	// Translation-validation gate: a campaign that will execute (or
-	// cross-check against) the compiled closure-chain tier must not start
-	// on a module whose compiled program fails to certify against the IR.
-	// The check is static and runs once per instance, before any input
-	// executes.
-	if opts.Backend == compile.BackendName || opts.SentinelCrossBackend {
-		if terr := transvalCheck(mod); terr != nil {
-			return nil, fmt.Errorf("core: %s: compiled tier uncertified (rerun with -backend=interp and no -sentinel-cross-backend): %w",
-				t.Name, terr)
-		}
 	}
 	hopts := opts.HarnessOpts
 	if opts.Interproc || opts.AuditRestore {
@@ -457,7 +412,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		TraceEdges:        opts.TraceEdges,
 		Injector:          opts.Injector,
 		Sanitize:          opts.Sanitize.Enabled(),
-		Backend:           opts.Backend,
 	}
 	// newMech builds one execution mechanism over the shared instrumented
 	// module. Every shard of a parallel instance gets its own: VM memory
@@ -485,12 +439,6 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		rcfg := execmgr.Config{Options: base, Module: mod}
 		rcfg.CovMap, rcfg.RandSeed = refCov, randSeed
 		rcfg.ImagePages, rcfg.TraceEdges, rcfg.Injector = 0, false, nil
-		if opts.SentinelCrossBackend {
-			// Two-sided differential: the reference replays every probe on
-			// the other execution backend, so any interp/compiled semantic
-			// gap surfaces as sentinel divergence during the campaign.
-			rcfg.Backend = otherBackend(opts.Backend)
-		}
 		ref, rerr := execmgr.NewFresh(rcfg)
 		if rerr != nil {
 			return nil, fmt.Errorf("core: sentinel reference: %w", rerr)

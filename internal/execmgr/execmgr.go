@@ -19,10 +19,6 @@ import (
 	"closurex/internal/ir"
 	"closurex/internal/passes"
 	"closurex/internal/vm"
-
-	// Register the compiled closure-chain backend so Config.Backend can
-	// name it ("compiled") for every mechanism.
-	_ "closurex/internal/vm/compile"
 )
 
 // Config describes how to run a target under any mechanism.
@@ -91,8 +87,8 @@ func checkModule(cfg *Config) error {
 		return fmt.Errorf("execmgr: module lacks %s; run the pass pipeline", passes.TargetMain)
 	}
 	// Stamp call pre-resolution before the first VM touches the module:
-	// idempotent (no-op when already resolved at commit time), and both
-	// backends dispatch through the cached indices.
+	// idempotent (no-op when already resolved at commit time), and every
+	// call dispatches through the cached indices.
 	vm.ResolveModule(cfg.Module)
 	return nil
 }

@@ -13,8 +13,6 @@ import (
 
 	"closurex/internal/core"
 	"closurex/internal/targets"
-	"closurex/internal/vm"
-	"closurex/internal/vm/compile"
 )
 
 // ScalingRow is one shard-count point of the parallel-scaling experiment.
@@ -32,17 +30,10 @@ type ScalingRow struct {
 	Quarantined int    `json:"quarantined_shards"`
 }
 
-// BackendScaling is one execution backend's shard-count sweep.
-type BackendScaling struct {
-	Backend string       `json:"backend"`
-	Rows    []ScalingRow `json:"rows"`
-}
-
 // ScalingReport is the JSON envelope BENCH_parallel.json carries. The
-// headline numbers are the jobs == GOMAXPROCS row of the default
-// (interpreter) sweep — the configuration a real campaign on this host
-// would run — rather than an oversubscribed point; the full sweeps for
-// both backends follow.
+// headline numbers are the jobs == GOMAXPROCS row — the configuration a
+// real campaign on the measuring host would run — rather than an
+// oversubscribed point; the full sweep follows.
 type ScalingReport struct {
 	Host      Host   `json:"host"`
 	Target    string `json:"target"`
@@ -53,7 +44,7 @@ type ScalingReport struct {
 	HeadlineExecsPerSec Spread `json:"headline_execs_per_sec"`
 	HeadlineSpeedup     *Ratio `json:"headline_speedup,omitempty"`
 
-	Sweeps []BackendScaling `json:"sweeps"`
+	Rows []ScalingRow `json:"rows"`
 }
 
 // DefaultScalingJobs returns the shard counts the scaling experiment
@@ -70,11 +61,10 @@ func DefaultScalingJobs() []int {
 }
 
 // RunParallelScaling fuzzes target under the closurex mechanism at each
-// shard count in jobsList, once per execution backend (interpreter and
-// compiled tier), running execsPerPoint aggregate executions per point.
-// Every point uses the same trial seed, so each sweep's J=1 row is exactly
-// the sequential campaign its speedups normalize against. The report's
-// headline is the interpreter sweep's jobs == GOMAXPROCS row.
+// shard count in jobsList, running execsPerPoint aggregate executions per
+// point. Every point uses the same trial seed, so the J=1 row is exactly
+// the sequential campaign the speedups normalize against. The report's
+// headline is the jobs == GOMAXPROCS row.
 func RunParallelScaling(target string, jobsList []int, execsPerPoint int64, seed uint64) (*ScalingReport, error) {
 	t := targets.Get(target)
 	if t == nil {
@@ -92,42 +82,40 @@ func RunParallelScaling(target string, jobsList []int, execsPerPoint int64, seed
 		Mechanism: MechClosureX,
 		ExecsPerJ: execsPerPoint,
 	}
-	for _, backend := range []string{vm.InterpBackend, compile.BackendName} {
-		rows := make([]ScalingRow, len(jobsList))
-		arms := make([]arm, len(jobsList))
-		for i, jobs := range jobsList {
-			row := &rows[i]
-			row.Jobs = jobs
-			opts := core.InstanceOptions{TrialSeed: seed, Jobs: jobs, Backend: backend}
-			arms[i] = campaignArm(t, opts, execsPerPoint, func(inst *core.Instance) {
-				row.Execs, row.Edges = inst.Driver().Execs(), inst.Driver().Edges()
-				if inst.Parallel != nil {
-					for _, h := range inst.Parallel.Health() {
-						row.Restarts += h.Restarts
-						if h.Quarantined {
-							row.Quarantined++
-						}
+	rows := make([]ScalingRow, len(jobsList))
+	arms := make([]arm, len(jobsList))
+	for i, jobs := range jobsList {
+		row := &rows[i]
+		row.Jobs = jobs
+		opts := core.InstanceOptions{TrialSeed: seed, Jobs: jobs}
+		arms[i] = campaignArm(t, opts, execsPerPoint, func(inst *core.Instance) {
+			row.Execs, row.Edges = inst.Driver().Execs(), inst.Driver().Edges()
+			if inst.Parallel != nil {
+				for _, h := range inst.Parallel.Health() {
+					row.Restarts += h.Restarts
+					if h.Quarantined {
+						row.Quarantined++
 					}
 				}
-			})
-		}
-		s, err := sweep(arms...)
-		if err != nil {
-			return nil, err
-		}
-		for i := range rows {
-			rows[i].ExecsPerSec = s[i]
-			if i > 0 {
-				r := ratio(s[i], s[0])
-				rows[i].Speedup = &r
 			}
-		}
-		rep.Sweeps = append(rep.Sweeps, BackendScaling{Backend: backend, Rows: rows})
+		})
 	}
-	// Headline: the jobs == GOMAXPROCS point of the default (interpreter)
-	// sweep; when the sweep has no exact match (GOMAXPROCS not in
-	// jobsList), the largest jobs <= GOMAXPROCS stands in.
-	head := rep.Sweeps[0].Rows
+	s, err := sweep(arms...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].ExecsPerSec = s[i]
+		if i > 0 {
+			r := ratio(s[i], s[0])
+			rows[i].Speedup = &r
+		}
+	}
+	rep.Rows = rows
+	// Headline: the jobs == GOMAXPROCS point; when the sweep has no exact
+	// match (GOMAXPROCS not in jobsList), the largest jobs <= GOMAXPROCS
+	// stands in.
+	head := rep.Rows
 	hi := 0
 	for i, r := range head {
 		if r.Jobs <= rep.Host.GOMAXPROCS && r.Jobs >= head[hi].Jobs {
@@ -144,21 +132,17 @@ func RunParallelScaling(target string, jobsList []int, execsPerPoint int64, seed
 	return rep, nil
 }
 
-// FormatScaling renders the scaling report as aligned text tables, one
-// per backend sweep.
+// FormatScaling renders the scaling report as an aligned text table.
 func FormatScaling(rep *ScalingReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel scaling: %s under %s (%d execs per point, median of %d alternating rounds, GOMAXPROCS=%d)\n",
 		rep.Target, rep.Mechanism, rep.ExecsPerJ, rep.Host.Rounds, rep.Host.GOMAXPROCS)
 	fmt.Fprintf(&b, "  headline: jobs=%d  %s execs/s  (%s vs sequential)\n",
 		rep.HeadlineJobs, rep.HeadlineExecsPerSec, rep.HeadlineSpeedup)
-	for _, sw := range rep.Sweeps {
-		fmt.Fprintf(&b, "  backend=%s\n", sw.Backend)
-		fmt.Fprintf(&b, "  %-6s %12s %24s %-18s %8s %8s %11s\n", "jobs", "execs", "execs/s [q1, q3]", "speedup", "edges", "restarts", "quarantined")
-		for _, r := range sw.Rows {
-			fmt.Fprintf(&b, "  %-6d %12d %24s %-18s %8d %8d %11d\n",
-				r.Jobs, r.Execs, r.ExecsPerSec, r.Speedup, r.Edges, r.Restarts, r.Quarantined)
-		}
+	fmt.Fprintf(&b, "  %-6s %12s %24s %-18s %8s %8s %11s\n", "jobs", "execs", "execs/s [q1, q3]", "speedup", "edges", "restarts", "quarantined")
+	for _, r := range rep.Rows {
+		fmt.Fprintf(&b, "  %-6d %12d %24s %-18s %8d %8d %11d\n",
+			r.Jobs, r.Execs, r.ExecsPerSec, r.Speedup, r.Edges, r.Restarts, r.Quarantined)
 	}
 	return b.String()
 }

@@ -101,9 +101,8 @@ func TestTimedReportsRoundTrip(t *testing.T) {
 	for _, c := range []struct {
 		rep, back any
 	}{
-		{&CompileReport{Host: h, Rows: []CompileRow{{Target: "zlib", InterpExecsPerSec: sp, Speedup: *r, Identical: true}}}, &CompileReport{}},
 		{&ScalingReport{Host: h, HeadlineExecsPerSec: sp, HeadlineSpeedup: r,
-			Sweeps: []BackendScaling{{Backend: "interp", Rows: []ScalingRow{{Jobs: 1, ExecsPerSec: sp}, {Jobs: 2, ExecsPerSec: sp, Speedup: r}}}}}, &ScalingReport{}},
+			Rows: []ScalingRow{{Jobs: 1, ExecsPerSec: sp}, {Jobs: 2, ExecsPerSec: sp, Speedup: r}}}, &ScalingReport{}},
 		{&SanitizerReport{Host: h, Rows: []SanitizerRow{{Mode: "off", ExecsPerSec: sp}, {Mode: "on+elide", Overhead: r, ElideVsOn: r}}}, &SanitizerReport{}},
 		{&ElisionReport{Host: h, Rows: []ElisionRow{{Target: "zlib", ExecsPerSecOff: sp, Speedup: *r, EdgesMatch: true}}}, &ElisionReport{}},
 		{&DictGainReport{Host: h, Rows: []DictGainRow{{Target: "zlib", ExecsPerSecOn: sp, DeterministicOff: true}}}, &DictGainReport{}},

@@ -137,8 +137,7 @@ type Instr struct {
 	// descriptor is provably closed before iteration end.
 	FileElide bool
 	// CalleeIdx caches OpCall resolution, stamped at module-commit time by
-	// Module.ResolveCalls so neither execution backend pays a string-map
-	// lookup per call: 0 means unresolved (execute via name lookup),
+	// Module.ResolveCalls so the VM pays no string-map lookup per call: 0 means unresolved (execute via name lookup),
 	// +k means Module.Funcs[k-1], -k means slot k-1 of the canonical
 	// builtin table (the builtin names in ascending order). Any call-site
 	// rewrite clears it; CLX122 verifies a non-zero index still matches
@@ -303,9 +302,8 @@ func (m *Module) Func(name string) *Func {
 }
 
 // FuncIndex returns the position of the named function in Funcs, or -1.
-// It is the resolution the compiled tier bakes into call closures and the
-// one CalleeIdx caches (+index−1), so checkers comparing either against
-// the name go through this single accessor.
+// It is the resolution CalleeIdx caches (+index−1), so checkers comparing
+// the cache against the name go through this single accessor.
 func (m *Module) FuncIndex(name string) int {
 	i, ok := m.funcIdx[name]
 	if !ok {
@@ -364,9 +362,8 @@ func (m *Module) rewriteCalls(from, to string) int {
 // callee's position in the canonical — ascending-name — builtin order, or
 // a negative value for non-builtins), 0 when the callee resolves to
 // neither. Run it once at module-commit time, after the last call-site
-// rewrite; both the interpreter and the compiled backend then dispatch
-// calls by index instead of a per-call string-map lookup. Returns the
-// number of call sites resolved.
+// rewrite; the VM then dispatches calls by index instead of a per-call
+// string-map lookup. Returns the number of call sites resolved.
 func (m *Module) ResolveCalls(builtinIndex func(name string) int) int {
 	n := 0
 	for _, f := range m.Funcs {

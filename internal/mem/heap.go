@@ -30,11 +30,6 @@ type Heap struct {
 	quarantineCap  int
 	bytesAllocated uint64 // live bytes (for the memory-usage audit, §6.1.4)
 	epoch          uint64 // bumped on Reset; stale chunk handles become invalid
-	// gen counts chunk-map mutations (alloc, free, realloc, quarantine
-	// replacement, reset). Execution backends cache per-site access-check
-	// verdicts keyed on it: a verdict proven against one chunk map is only
-	// replayable while gen is unchanged.
-	gen uint64
 
 	// inj, when armed, fails allocations on demand so tests can drive the
 	// target's (and the harness's) OOM paths deterministically. Nil in
@@ -174,7 +169,6 @@ func (h *Heap) QuarantineSnapshot() []Chunk {
 // at harness-init time.
 func (h *Heap) RestoreQuarantine(snap []Chunk) {
 	h.quarantine = append(h.quarantine[:0], snap...)
-	h.gen++
 }
 
 // QuarantineLen reports how many freed chunks the quarantine currently
@@ -221,10 +215,6 @@ func (h *Heap) LiveBytes() uint64 { return h.bytesAllocated }
 
 // Epoch identifies the current heap generation; it changes on Reset.
 func (h *Heap) Epoch() uint64 { return h.epoch }
-
-// Gen returns the chunk-map generation. Any cached access-check verdict
-// against the heap is invalid once Gen changes.
-func (h *Heap) Gen() uint64 { return h.gen }
 
 // findChunk returns the index of the live chunk containing addr, or -1.
 func (h *Heap) findChunk(addr uint64) int {
@@ -279,7 +269,6 @@ func (h *Heap) Alloc(size uint64) (uint64, error) {
 	copy(h.chunks[i+1:], h.chunks[i:])
 	h.chunks[i] = c
 	h.bytesAllocated += size
-	h.gen++
 	if h.shadow != nil {
 		h.shadow.Unpoison(addr, size)
 		// Everything between the valid bytes and the next chunk is this
@@ -347,7 +336,6 @@ func (h *Heap) Free(addr uint64) error {
 	h.siteFn, h.siteLine = "", 0
 	h.chunks = append(h.chunks[:i], h.chunks[i+1:]...)
 	h.bytesAllocated -= c.Size
-	h.gen++
 	h.quarantine = append(h.quarantine, c)
 	if len(h.quarantine) > h.quarantineCap {
 		h.quarantine = h.quarantine[1:]
@@ -379,7 +367,6 @@ func (h *Heap) Realloc(addr, size uint64) (uint64, error) {
 	if size <= old.Size {
 		h.bytesAllocated -= old.Size - size
 		h.chunks[i].Size = size
-		h.gen++
 		h.siteFn, h.siteLine = "", 0
 		if h.shadow != nil {
 			// Shrink in place: the abandoned tail becomes redzone.
@@ -469,7 +456,6 @@ func (h *Heap) Reset() {
 	h.brk = h.base
 	h.bytesAllocated = 0
 	h.epoch++
-	h.gen++
 	if h.shadow != nil {
 		h.shadow = NewShadow(h.shadow.base, h.shadow.end)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 
 	"closurex/internal/ir"
@@ -81,6 +82,54 @@ func init() {
 		"srand": biSrand,
 	}
 	initBuiltinTable()
+}
+
+// The canonical builtin order is the builtin names sorted ascending. It is
+// derivable from the name set alone, so ir.Module.ResolveCalls (via
+// BuiltinIndex) and the verifier's CLX122 check (which only sees the
+// map[string]bool set) agree on slot numbering without sharing a package.
+var (
+	builtinSlots []builtinFn    // aligned with the sorted names
+	builtinIdx   map[string]int // name -> slot
+)
+
+// initBuiltinTable builds the indexed table; called from init() right
+// after the builtins map is populated.
+func initBuiltinTable() {
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	builtinSlots = make([]builtinFn, len(names))
+	builtinIdx = make(map[string]int, len(names))
+	for i, name := range names {
+		builtinSlots[i] = builtins[name]
+		builtinIdx[name] = i
+	}
+}
+
+// BuiltinIndex returns name's slot in the canonical builtin order, or -1
+// when name is not a builtin. This is the resolver ResolveModule feeds to
+// ir.Module.ResolveCalls.
+func BuiltinIndex(name string) int {
+	i, ok := builtinIdx[name]
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// ResolveModule stamps every OpCall's CalleeIdx against the module's
+// function table and the canonical builtin order. Idempotent: a module
+// whose resolution is still valid is left untouched, which also makes the
+// call race-free when a shard-supervisor rebuild re-checks a module other
+// shards are executing.
+func ResolveModule(m *ir.Module) {
+	if m == nil || m.CallsResolved() {
+		return
+	}
+	m.ResolveCalls(BuiltinIndex)
 }
 
 func argn(v *VM, in *ir.Instr, args []int64, n int) error {

@@ -9,8 +9,6 @@ import (
 	"closurex/internal/passes"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
-
-	_ "closurex/internal/vm/compile"
 )
 
 // instrument compiles tg with the ClosureX pipeline plus coverage, the
@@ -56,8 +54,8 @@ func checkIndex(t *testing.T, label string, cov []byte) int {
 }
 
 // TestCovIndexInvariantTargets runs every registered target's seeds and
-// bug triggers on both backends and requires, after each Call, that every
-// non-zero map line is marked in the index.
+// bug triggers and requires, after each Call, that every non-zero map line
+// is marked in the index.
 func TestCovIndexInvariantTargets(t *testing.T) {
 	for _, tg := range targets.All() {
 		t.Run(tg.Name, func(t *testing.T) {
@@ -66,18 +64,16 @@ func TestCovIndexInvariantTargets(t *testing.T) {
 			for _, b := range tg.Bugs {
 				inputs = append(inputs, b.Trigger)
 			}
-			for _, backend := range []string{vm.InterpBackend, "compiled"} {
-				for i, in := range inputs {
-					cov := vm.NewCovMap()
-					v, err := vm.New(m, vm.Options{CovMap: cov, DeterministicRand: true, RandSeed: 1, Backend: backend})
-					if err != nil {
-						t.Fatal(err)
-					}
-					v.SetInput(in)
-					v.Call(passes.TargetMain)
-					if checkIndex(t, fmt.Sprintf("%s input %d", backend, i), cov) == 0 {
-						t.Fatalf("%s input %d: no coverage recorded", backend, i)
-					}
+			for i, in := range inputs {
+				cov := vm.NewCovMap()
+				v, err := vm.New(m, vm.Options{CovMap: cov, DeterministicRand: true, RandSeed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.SetInput(in)
+				v.Call(passes.TargetMain)
+				if checkIndex(t, fmt.Sprintf("input %d", i), cov) == 0 {
+					t.Fatalf("input %d: no coverage recorded", i)
 				}
 			}
 		})
@@ -85,26 +81,24 @@ func TestCovIndexInvariantTargets(t *testing.T) {
 }
 
 // TestCovIndexForkChild checks that a forked child's probes mark the index
-// of the map it shares with its parent, on both backends.
+// of the map it shares with its parent.
 func TestCovIndexForkChild(t *testing.T) {
 	tg := targets.All()[0]
 	m := instrument(t, tg)
-	for _, backend := range []string{vm.InterpBackend, "compiled"} {
-		cov := vm.NewCovMap()
-		parent, err := vm.New(m, vm.Options{CovMap: cov, DeterministicRand: true, RandSeed: 1, Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vm.CovIndex(parent.EngineCov()) == nil {
-			t.Fatalf("%s: EngineCov lost the map's index", backend)
-		}
-		child := parent.Fork()
-		child.SetInput(tg.Seeds()[0])
-		child.Call(passes.TargetMain)
-		child.Release()
-		if checkIndex(t, backend+" fork child", cov) == 0 {
-			t.Fatalf("%s: the child recorded no coverage in the parent's map", backend)
-		}
+	cov := vm.NewCovMap()
+	parent, err := vm.New(m, vm.Options{CovMap: cov, DeterministicRand: true, RandSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm.CovIndex(parent.EngineCov()) == nil {
+		t.Fatal("EngineCov lost the map's index")
+	}
+	child := parent.Fork()
+	child.SetInput(tg.Seeds()[0])
+	child.Call(passes.TargetMain)
+	child.Release()
+	if checkIndex(t, "fork child", cov) == 0 {
+		t.Fatal("the child recorded no coverage in the parent's map")
 	}
 }
 

@@ -128,31 +128,6 @@ func (l *Layout) InRodata(addr uint64, n int) bool {
 	return false
 }
 
-// WritableWindow returns the maximal [lo, hi) interval of the globals
-// segment containing addr that a store may touch: bounded below by the
-// end of the last read-only section at or before addr, and above by the
-// start of the next read-only section or the layout end. addr must be a
-// globals address outside every read-only section (i.e. a store to it
-// already passed the rodata check).
-func (l *Layout) WritableWindow(addr uint64) (uint64, uint64) {
-	lo, hi := GlobalsBase, l.End
-	for _, s := range l.Sections {
-		if s.Name != ir.SectionRodata || s.Size == 0 {
-			continue
-		}
-		if end := s.Addr + s.Size; end <= addr {
-			if end > lo {
-				lo = end
-			}
-		} else if s.Addr > addr {
-			if s.Addr < hi {
-				hi = s.Addr
-			}
-		}
-	}
-	return lo, hi
-}
-
 // String renders the section table (the closurex-cc -sections view used to
 // reproduce Figure 3).
 func (l *Layout) String() string {
