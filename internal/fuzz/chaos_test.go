@@ -122,6 +122,16 @@ func TestChaosShardKillForeverQuarantines(t *testing.T) {
 	if p.Execs() < 30000 {
 		t.Fatalf("campaign did not complete on healthy shards: %d execs", p.Execs())
 	}
+	// The budget is fleet-wide and the scheduler owes shard 1 no share of
+	// it: with more shards than CPUs the healthy shards can spend it before
+	// shard 1 reaches its 2000th step or the end of its restart ladder.
+	// RunFor steps every shard at least checkEvery times per call, and a
+	// faulting segment never reaches its deadline check, so each slice
+	// either moves shard 1 toward its 2000th step or climbs the whole
+	// ladder.
+	for i := 0; i < 100 && !p.Health()[1].Quarantined; i++ {
+		p.RunFor(time.Millisecond)
+	}
 	h := p.Health()
 	if !h[1].Quarantined {
 		t.Fatalf("fail-forever shard not quarantined: %+v", h[1])

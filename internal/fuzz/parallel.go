@@ -550,12 +550,15 @@ func (p *ParallelCampaign) RunFor(d time.Duration) {
 // RunExecs drives the fleet until at least n aggregate executions have
 // happened or the stop channel closes. Each shard checks its own live
 // count plus the other shards' sampled counters every step, so with one
-// shard the loop condition is exactly the sequential RunExecs condition.
+// shard and n > 0 the loop condition is exactly the sequential RunExecs
+// condition.
 func (p *ParallelCampaign) RunExecs(n int64) {
 	p.run(func(sh *shard, pub chan<- corpusMsg) {
 		c := sh.c
 		steps := 0
-		for p.othersExecs(sh)+c.execs < n {
+		// A shard the scheduler starved until the budget was spent still
+		// runs its seeds: a fleet checkpoint needs every shard bootstrapped.
+		for !c.started || p.othersExecs(sh)+c.execs < n {
 			p.step(sh)
 			p.maybeSync(sh, pub)
 			if steps++; steps >= checkEvery {
