@@ -88,9 +88,11 @@ harness-audit:
 # writes, elastic resume) runs plain and under -race; end to end, the
 # closurex-bench matrix injects each fault class into a real compiled
 # target's parallel campaign and gates on completion + coverage superset +
-# no goroutine leak.
+# no goroutine leak. The plain run repeats under -cpu 1,2,4: shard
+# scheduling, and so the supervision ladder's timing, depends on the CPU
+# count.
 chaos:
-	$(GO) test -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError|ForShard|HealthLog' \
+	$(GO) test -cpu 1,2,4 -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError|ForShard|HealthLog' \
 		./internal/fuzz/ ./internal/faultinject/ ./internal/stats/
 	$(GO) test -race -timeout 15m -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError' ./internal/fuzz/
 	$(GO) run ./cmd/closurex-bench -chaos -chaos-execs 20000 -chaos-json BENCH_chaos.json

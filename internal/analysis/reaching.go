@@ -20,15 +20,24 @@ type ReachingDefs struct {
 	Sites   []DefSite
 	In, Out []BitSet
 
-	f  *ir.Func
-	at map[[2]int]int // (block, instr) -> index of the site it defines
+	f *ir.Func
+	// first[b] is the index in Sites of block b's first site; block b's
+	// sites are Sites[first[b]:first[b+1]], in instruction order.
+	first []int
 }
 
 // SiteAt returns the index of the definition site at (block, instr), if
 // that instruction defines a register.
 func (rd *ReachingDefs) SiteAt(block, instr int) (int, bool) {
-	i, ok := rd.at[[2]int{block, instr}]
-	return i, ok
+	if block < 0 || block >= len(rd.first)-1 {
+		return -1, false
+	}
+	for i := rd.first[block]; i < rd.first[block+1] && rd.Sites[i].Instr <= instr; i++ {
+		if rd.Sites[i].Instr == instr {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // UseSite resolves the unique definition site feeding register r as read
@@ -38,7 +47,8 @@ func (rd *ReachingDefs) UseSite(block, instr, r int) int {
 	// A def of r earlier in the same block shadows everything inbound.
 	for j := instr - 1; j >= 0; j-- {
 		if InstrDef(&rd.f.Blocks[block].Instrs[j]) == r {
-			return rd.at[[2]int{block, j}]
+			site, _ := rd.SiteAt(block, j)
+			return site
 		}
 	}
 	// Otherwise the block-entry reaching set must name exactly one site.
@@ -57,7 +67,7 @@ func (rd *ReachingDefs) UseSite(block, instr, r int) int {
 // ComputeReachingDefs solves reaching definitions for c's function.
 func ComputeReachingDefs(c *CFG) *ReachingDefs {
 	f := c.F
-	rd := &ReachingDefs{f: f}
+	rd := &ReachingDefs{f: f, first: make([]int, len(f.Blocks)+1)}
 	// Enumerate sites: parameters first, then textual order.
 	for p := 0; p < f.NumParams; p++ {
 		rd.Sites = append(rd.Sites, DefSite{Block: -1, Instr: -1, Reg: p})
@@ -67,6 +77,7 @@ func ComputeReachingDefs(c *CFG) *ReachingDefs {
 		byReg[p] = append(byReg[p], p)
 	}
 	for bi, b := range f.Blocks {
+		rd.first[bi] = len(rd.Sites)
 		for ii := range b.Instrs {
 			if d := InstrDef(&b.Instrs[ii]); d >= 0 && d < f.NumRegs {
 				byReg[d] = append(byReg[d], len(rd.Sites))
@@ -75,10 +86,7 @@ func ComputeReachingDefs(c *CFG) *ReachingDefs {
 		}
 	}
 	nsites := len(rd.Sites)
-	rd.at = make(map[[2]int]int, nsites-f.NumParams)
-	for i, s := range rd.Sites[f.NumParams:] {
-		rd.at[[2]int{s.Block, s.Instr}] = f.NumParams + i
-	}
+	rd.first[len(f.Blocks)] = nsites
 
 	// Per-block gen (last def of each register inside the block) and kill
 	// (every other site of a register the block defines).

@@ -77,7 +77,7 @@ func Synthesize(target, file, src string, opts Options) (*Harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s: parse: %w", target, err)
 	}
-	m, err := core.Compile(file, src)
+	m, err := core.CompileProgram(prog)
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s: lower: %w", target, err)
 	}

@@ -20,6 +20,7 @@ import (
 	"closurex/internal/harness"
 	"closurex/internal/ir"
 	"closurex/internal/lower"
+	"closurex/internal/minc"
 	"closurex/internal/passes"
 	"closurex/internal/targets"
 	"closurex/internal/vm"
@@ -92,7 +93,16 @@ const AuditEveryDefault = 64
 // call-resolved so even pristine executions dispatch through cached callee
 // indices.
 func Compile(file, src string) (*ir.Module, error) {
-	m, err := lower.Compile(file, src, vm.Builtins())
+	prog, err := minc.Parse(file, src)
+	if err != nil {
+		return nil, err
+	}
+	return CompileProgram(prog)
+}
+
+// CompileProgram is Compile for an already parsed program.
+func CompileProgram(prog *minc.Program) (*ir.Module, error) {
+	m, err := lower.CompileProgram(prog, vm.Builtins())
 	if err != nil {
 		return nil, err
 	}

@@ -172,7 +172,20 @@ func TestChaosRestoreCorruptRebuildLadder(t *testing.T) {
 	if p.Execs() < 20000 {
 		t.Fatalf("campaign did not complete: %d execs", p.Execs())
 	}
+	// The healthy shard may spend the budget while shard 1 sits in a
+	// restart backoff, so drive RunFor slices until shard 1 has climbed to
+	// the rebuild and executed past it (see
+	// TestChaosShardKillForeverQuarantines).
+	for i := 0; i < 100; i++ {
+		if h := p.Health()[1]; h.Rebuilds > 0 && h.ConsecutiveFaults == 0 {
+			break
+		}
+		p.RunFor(time.Millisecond)
+	}
 	h := p.Health()
+	if h[1].ConsecutiveFaults != 0 {
+		t.Fatalf("fault streak must close after the rebuild: %+v", h[1])
+	}
 	if h[1].Rebuilds != 1 {
 		t.Fatalf("rebuild ladder did not fire exactly once: %+v", h[1])
 	}
@@ -193,6 +206,11 @@ func TestChaosRestoreCorruptForeverQuarantines(t *testing.T) {
 	p.RunExecs(15000)
 	if p.Execs() < 15000 {
 		t.Fatalf("campaign did not complete: %d execs", p.Execs())
+	}
+	// As in TestChaosShardKillForeverQuarantines: slices until shard 1 has
+	// climbed the whole ladder.
+	for i := 0; i < 100 && !p.Health()[1].Quarantined; i++ {
+		p.RunFor(time.Millisecond)
 	}
 	h := p.Health()
 	if !h[1].Quarantined {

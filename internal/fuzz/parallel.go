@@ -193,6 +193,9 @@ type shard struct {
 	// lastSyncAt is its wall-clock time (exec-rate windows).
 	lastSync   int64
 	lastSyncAt time.Time
+	// faultExecs is the exec count at the shard's last fault. Only
+	// executions past it close the fault streak.
+	faultExecs int64
 	// published is the queue index up to which entries have been captured
 	// for the corpus manager.
 	published int
@@ -335,11 +338,14 @@ func (p *ParallelCampaign) syncShard(sh *shard, pub chan<- corpusMsg) {
 	}
 	p.flushPublishes(sh, pub, false)
 	sh.drainInbox()
-	// Reaching a boundary with fresh executions is recovery: it closes the
-	// shard's fault streak and counts as progress for the hang monitor.
+	// Reaching a boundary with fresh executions is progress for the hang
+	// monitor; executions since the last fault are recovery and close the
+	// shard's fault streak.
 	now := time.Now()
-	if c.execs > sh.lastSync {
+	if c.execs > sh.faultExecs {
 		h.consecFaults.Store(0)
+	}
+	if c.execs > sh.lastSync {
 		h.touchProgress()
 		if !sh.lastSyncAt.IsZero() {
 			if window := now.Sub(sh.lastSyncAt).Seconds(); window > 0 {

@@ -17,9 +17,9 @@ package fuzz
 //	      corpus redistributed through the manager, and the campaign
 //	      continues on the remaining healthy shards
 //
-// A shard that reaches a sync boundary (SyncEvery fresh executions) closes
-// its fault streak, so intermittent faults restart forever without ever
-// quarantining a shard that still makes progress.
+// A shard that reaches a sync boundary having executed since its last fault
+// closes its fault streak, so intermittent faults restart forever without
+// ever quarantining a shard that still makes progress.
 //
 // With no faults the supervisor is inert: the loop runs to completion on
 // the first attempt, the deferred recover never fires, and the sync cadence
@@ -280,12 +280,14 @@ func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*s
 	for {
 		if p.runSegment(sh, pub, fn) {
 			// Normal completion (deadline, exec target, or stop request):
-			// flush everything at a final boundary.
+			// flush everything at a final boundary. The boundary closes the
+			// fault streak only if the shard executed since its last fault:
+			// a segment that found the budget already spent is no recovery.
 			p.syncShard(sh, pub)
 			p.flushPublishes(sh, pub, true)
-			h.consecFaults.Store(0)
 			return
 		}
+		sh.faultExecs = sh.c.execs
 		faults := h.consecFaults.Add(1)
 		h.restarts.Add(1)
 		p.eventf(sh.id, sh.c.execs, "fault", "%s (streak %d)", h.getLastFault(), faults)

@@ -20,6 +20,12 @@ func Compile(file, src string, builtins map[string]bool) (*ir.Module, error) {
 	if err != nil {
 		return nil, err
 	}
+	return CompileProgram(prog, builtins)
+}
+
+// CompileProgram analyzes and lowers an already parsed program, for callers
+// that keep the AST (Compile without the parse).
+func CompileProgram(prog *minc.Program, builtins map[string]bool) (*ir.Module, error) {
 	info, err := minc.Analyze(prog)
 	if err != nil {
 		return nil, err

@@ -260,7 +260,27 @@ func (lx *Lexer) lexString(line int32) (Token, error) {
 	return Token{Kind: STRING, Text: sb.String(), Line: line}, nil
 }
 
-// two-character operators checked before one-character ones.
+// twoMap and oneMap spell the two- and one-character operators. They are
+// built once: lexOperator runs for every operator token.
+var (
+	twoMap = map[string]Kind{
+		"->": Arrow, "+=": PlusEq, "-=": MinusEq, "*=": StarEq,
+		"/=": SlashEq, "%=": PercentEq, "&=": AmpEq, "|=": PipeEq,
+		"^=": CaretEq, "<<": Shl, ">>": Shr, "==": EqEq, "!=": NotEq,
+		"<=": LtEq, ">=": GtEq, "&&": AndAnd, "||": OrOr,
+		"++": PlusPlus, "--": MinusMinus,
+	}
+	oneMap = map[byte]Kind{
+		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
+		'[': LBracket, ']': RBracket, ';': Semi, ',': Comma, '.': Dot,
+		'=': Assign, '+': Plus, '-': Minus, '*': Star, '/': Slash,
+		'%': Percent, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde,
+		'!': Bang, '<': Lt, '>': Gt, '?': Question, ':': Colon,
+	}
+)
+
+// lexOperator munches the longest operator at pos: three-character
+// operators, then two-character ones, then one-character ones.
 func (lx *Lexer) lexOperator(line int32) (Token, error) {
 	three := ""
 	if lx.pos+3 <= len(lx.src) {
@@ -278,23 +298,9 @@ func (lx *Lexer) lexOperator(line int32) (Token, error) {
 	if lx.pos+2 <= len(lx.src) {
 		two = lx.src[lx.pos : lx.pos+2]
 	}
-	twoMap := map[string]Kind{
-		"->": Arrow, "+=": PlusEq, "-=": MinusEq, "*=": StarEq,
-		"/=": SlashEq, "%=": PercentEq, "&=": AmpEq, "|=": PipeEq,
-		"^=": CaretEq, "<<": Shl, ">>": Shr, "==": EqEq, "!=": NotEq,
-		"<=": LtEq, ">=": GtEq, "&&": AndAnd, "||": OrOr,
-		"++": PlusPlus, "--": MinusMinus,
-	}
 	if k, ok := twoMap[two]; ok {
 		lx.pos += 2
 		return Token{Kind: k, Line: line}, nil
-	}
-	oneMap := map[byte]Kind{
-		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
-		'[': LBracket, ']': RBracket, ';': Semi, ',': Comma, '.': Dot,
-		'=': Assign, '+': Plus, '-': Minus, '*': Star, '/': Slash,
-		'%': Percent, '&': Amp, '|': Pipe, '^': Caret, '~': Tilde,
-		'!': Bang, '<': Lt, '>': Gt, '?': Question, ':': Colon,
 	}
 	c := lx.peek()
 	if k, ok := oneMap[c]; ok {
@@ -304,10 +310,11 @@ func (lx *Lexer) lexOperator(line int32) (Token, error) {
 	return Token{}, lx.errf("unexpected character %q", string(c))
 }
 
-// LexAll tokenizes the whole input (testing convenience).
+// LexAll tokenizes the whole input. The token slice is sized once from the
+// source length, so appending rarely grows it.
 func LexAll(file, src string) ([]Token, error) {
 	lx := NewLexer(file, src)
-	var out []Token
+	out := make([]Token, 0, len(src)/4+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
