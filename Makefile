@@ -107,13 +107,22 @@ synth:
 	$(GO) test -race -timeout 15m -count=1 -run 'Synth' ./internal/analysis/synth/ ./internal/experiments/
 	$(GO) run ./cmd/closurex-lint -q -target all -synth
 
-# Fuzz gate: a short native Go fuzzing run that mutates the targets' MinC
-# sources through compile, ClosureX instrumentation and both elision
-# analyses; a panic, or an accepted module the verifier or lints reject,
-# fails it. Findings belong in internal/core/testdata/fuzz/, where plain
-# `go test` replays them.
+# Fuzz gate: two short native Go fuzzing runs. FuzzInstrumentAnalyses
+# mutates the targets' MinC sources through compile, ClosureX
+# instrumentation and both elision analyses, built with the verifyeach tag
+# so the deep verifier and the interprocedural audit run after every pass;
+# a panic, a pass that leaves an invalid module, or an accepted module the
+# verifier or lints reject fails it. FuzzResume mutates real sequential and
+# parallel checkpoints; Resume and ResumeParallel may reject a blob only
+# with ErrBadCheckpoint and must never panic. Both seed corpora are large
+# inputs (target sources, checkpoints carrying a 64 KiB coverage map):
+# minimizing each new-coverage input for the default 60 s would spend the
+# whole budget there, so minimization is cut to one attempt. Findings
+# belong in the package's testdata/fuzz/, where plain `go test` replays
+# them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzInstrumentAnalyses -fuzztime 30s ./internal/core/
+	$(GO) test -tags verifyeach -run '^$$' -fuzz FuzzInstrumentAnalyses -fuzztime 20s -fuzzminimizetime 1x ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzResume -fuzztime 10s -fuzzminimizetime 1x ./internal/fuzz/
 
 check: vet test race faultcheck lint sanitize interproc harness-audit chaos synth fuzz benchjson
 

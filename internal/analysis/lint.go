@@ -216,7 +216,7 @@ func LintShared(m *ir.Module) Diagnostics {
 // Check is the one-call entry tools use: Verify then, only when the module
 // is structurally sound, Lint, returning the combined findings. Lints over
 // a broken module would drown the root cause in noise.
-func Check(m *ir.Module, builtins map[string]bool) Diagnostics {
+func Check(m *ir.Module, builtins Builtins) Diagnostics {
 	ds := Verify(m, builtins)
 	if ds.HasErrors() {
 		return ds

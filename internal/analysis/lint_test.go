@@ -213,7 +213,7 @@ func TestCheckShortCircuitsOnBrokenStructure(t *testing.T) {
 	m.Func(TargetMain).Blocks[1].Instrs = m.Func(TargetMain).Blocks[1].Instrs[:2]
 	m.Globals[0].Section = ir.SectionData
 	builtins := map[string]bool{"closurex_malloc": true, "closurex_free": true, "closurex_exit": true}
-	ds := Check(m, builtins)
+	ds := Check(m, NewBuiltins(builtins))
 	if !ds.HasErrors() {
 		t.Fatal("Check missed the structural defect")
 	}

@@ -14,11 +14,9 @@ import (
 	"fmt"
 
 	"closurex/internal/analysis"
-	"closurex/internal/analysis/interproc"
 	"closurex/internal/analysis/sanitize"
 	"closurex/internal/core"
 	"closurex/internal/ir"
-	"closurex/internal/vm"
 )
 
 // certify builds and checks a synthesized source. It returns the
@@ -81,8 +79,7 @@ func certify(target, file, src string) (*ir.Module, analysis.Diagnostics) {
 	}
 
 	// The same verifier + lint catalog hand-written harnesses pass.
-	vds := analysis.Verify(mod, vm.Builtins())
-	vds = append(vds, interproc.Audit(mod)...)
+	vds := core.VerifyModule(mod)
 	if !vds.HasErrors() {
 		vds = append(vds, analysis.Lint(mod)...)
 	}

@@ -40,14 +40,45 @@ const (
 
 const verifierPass = "verifier"
 
-// Verify checks module well-formedness and returns every violation found,
-// rather than stopping at the first like the quick ir.Verify gate. Checks:
-// every block terminated exactly at its end, branch targets in range,
-// register operands in range, registers definitely assigned before use
-// (dataflow over the dominator-ordered CFG), callees resolving to module
-// functions or known builtins with matching arity, global indices in
-// range, and section attributes drawn from the known section set.
-func Verify(m *ir.Module, builtins map[string]bool) Diagnostics {
+// Builtins is the callee set the verifier resolves calls against, plus its
+// canonical slot order: the names sorted ascending, the same derivation
+// vm.BuiltinIndex uses, so CLX122 can audit cached negative indices
+// without importing the vm package. Prepare it once per pipeline; the
+// structural leg runs after every pass.
+type Builtins struct {
+	names map[string]bool
+	slots []string
+}
+
+// NewBuiltins prepares a builtin name set for verification.
+func NewBuiltins(names map[string]bool) Builtins {
+	slots := make([]string, 0, len(names))
+	for name := range names {
+		slots = append(slots, name)
+	}
+	sort.Strings(slots)
+	return Builtins{names: names, slots: slots}
+}
+
+// VerifyStructure is the structural leg of Verify: every check except
+// definite assignment (CLX109). Section attributes, block terminators,
+// branch targets, register operands, access sizes, global indices, callee
+// resolution and arity, sanitizer shape and cached callee indices are all
+// checked, and every violation is collected. It costs one walk over the
+// instructions, so the lowerer runs it on its output and the pass manager
+// after every pass, as `opt -verify-each` would.
+func VerifyStructure(m *ir.Module, builtins Builtins) Diagnostics {
+	return verify(m, builtins, false)
+}
+
+// Verify is the deep verifier: VerifyStructure plus the dataflow leg, which
+// flags registers read before they are definitely assigned (dataflow over
+// the CFG). The dataflow leg runs only on structurally clean functions.
+func Verify(m *ir.Module, builtins Builtins) Diagnostics {
+	return verify(m, builtins, true)
+}
+
+func verify(m *ir.Module, builtins Builtins, dataflow bool) Diagnostics {
 	var ds Diagnostics
 	for gi, g := range m.Globals {
 		switch g.Section {
@@ -60,23 +91,23 @@ func Verify(m *ir.Module, builtins map[string]bool) Diagnostics {
 			})
 		}
 	}
-	// The canonical builtin slot order is the name set sorted ascending —
-	// the same derivation vm.BuiltinIndex uses — so CLX122 can audit cached
-	// negative indices without importing the vm package.
-	bslots := make([]string, 0, len(builtins))
-	for name := range builtins {
-		bslots = append(bslots, name)
-	}
-	sort.Strings(bslots)
 	for _, f := range m.Funcs {
-		ds = append(ds, verifyFunc(m, f, builtins, bslots)...)
+		n := len(ds)
+		ds = verifyFunc(ds, m, f, builtins)
+		// A broken structure would send the dataflow leg down dangling
+		// edges or out-of-range registers.
+		if dataflow && !ds[n:].HasErrors() {
+			ds = append(ds, verifyAssigned(f)...)
+		}
 	}
-	ds.Sort()
+	if len(ds) > 1 { // Sort boxes the slice: keep the clean-module gate alloc-free
+		ds.Sort()
+	}
 	return ds
 }
 
-func verifyFunc(m *ir.Module, f *ir.Func, builtins map[string]bool, bslots []string) Diagnostics {
-	var ds Diagnostics
+// verifyFunc appends f's structural violations to ds.
+func verifyFunc(ds Diagnostics, m *ir.Module, f *ir.Func, builtins Builtins) Diagnostics {
 	emit := func(id string, block, instr int, line int32, format string, args ...interface{}) {
 		ds = append(ds, Diagnostic{
 			ID: id, Sev: SevError, Pass: verifierPass, Func: f.Name,
@@ -108,25 +139,22 @@ func verifyFunc(m *ir.Module, f *ir.Func, builtins map[string]bool, bslots []str
 						"terminator %s mid-block (instruction %d of %d)", in.Op, ii, len(b.Instrs))
 				}
 			}
-			verifyOperands(m, f, bi, ii, in, builtins, bslots, emit)
+			verifyInstr(m, f, b.Instrs, bi, ii, builtins, emit)
 		}
 	}
-	verifySanitizerShape(m, f, emit)
-	if ds.HasErrors() {
-		// The structural shape is broken; dataflow over it would chase
-		// dangling edges or out-of-range registers.
-		return ds
-	}
-	ds = append(ds, verifyAssigned(f)...)
 	return ds
 }
 
-// verifyOperands checks one instruction's registers, targets, sizes,
-// global indices and callee resolution.
-func verifyOperands(m *ir.Module, f *ir.Func, bi, ii int, in *ir.Instr,
-	builtins map[string]bool, bslots []string,
+// verifyInstr checks one instruction's registers, targets, sizes, global
+// indices and callee resolution, and enforces the SanitizerPass contract:
+// every OpSanCheck guards exactly the access that follows it (CLX112),
+// and in a module marked Sanitized every load/store is either guarded or
+// carries the SanElide proof mark (CLX113). Dropping a check without
+// recording the elision is a verifier error, not a silent soundness hole.
+func verifyInstr(m *ir.Module, f *ir.Func, instrs []ir.Instr, bi, ii int, builtins Builtins,
 	emit func(string, int, int, int32, string, ...interface{})) {
 
+	in := &instrs[ii]
 	reg := func(r int, what string) {
 		if r < 0 || r >= f.NumRegs {
 			emit(IDBadRegister, bi, ii, in.Pos, "%s: %s register %d out of range [0,%d)", in.Op, what, r, f.NumRegs)
@@ -142,6 +170,12 @@ func verifyOperands(m *ir.Module, f *ir.Func, bi, ii int, in *ir.Instr,
 		case 1, 2, 4, 8:
 		default:
 			emit(IDBadSize, bi, ii, in.Pos, "%s: access size %d (want 1, 2, 4 or 8)", in.Op, in.Size)
+		}
+	}
+	guarded := func() {
+		if m.Sanitized && !in.SanElide && (ii == 0 || !guards(&instrs[ii-1], in)) {
+			emit(IDUncheckedAcc, bi, ii, in.Pos,
+				"%s in sanitized module is neither shadow-checked nor elision-marked", in.Op)
 		}
 	}
 	switch in.Op {
@@ -163,13 +197,15 @@ func verifyOperands(m *ir.Module, f *ir.Func, bi, ii int, in *ir.Instr,
 		size()
 		reg(in.A, "addr")
 		reg(in.Dst, "dst")
+		guarded()
 	case ir.OpStore:
 		size()
 		reg(in.A, "addr")
 		reg(in.B, "val")
+		guarded()
 	case ir.OpCall:
 		callee := m.Func(in.Callee)
-		if callee == nil && !builtins[in.Callee] {
+		if callee == nil && !builtins.names[in.Callee] {
 			emit(IDBadCallee, bi, ii, in.Pos, "callee %q resolves to neither a module function nor a builtin", in.Callee)
 		}
 		if callee != nil && len(in.Args) != callee.NumParams {
@@ -186,7 +222,7 @@ func verifyOperands(m *ir.Module, f *ir.Func, bi, ii int, in *ir.Instr,
 					"cached callee index %d does not resolve to %q", in.CalleeIdx, in.Callee)
 			}
 		case in.CalleeIdx < 0:
-			if slot := -in.CalleeIdx - 1; slot >= len(bslots) || bslots[slot] != in.Callee {
+			if slot := -in.CalleeIdx - 1; slot >= len(builtins.slots) || builtins.slots[slot] != in.Callee {
 				emit(IDStaleCallIdx, bi, ii, in.Pos,
 					"cached builtin index %d does not resolve to %q", in.CalleeIdx, in.Callee)
 			}
@@ -212,58 +248,25 @@ func verifyOperands(m *ir.Module, f *ir.Func, bi, ii int, in *ir.Instr,
 		if in.B != 0 && in.B != 1 {
 			emit(IDBadSanCheck, bi, ii, in.Pos, "sancheck direction %d (want 0=read or 1=write)", in.B)
 		}
+		if ii+1 == len(instrs) || !guards(in, &instrs[ii+1]) {
+			emit(IDOrphanCheck, bi, ii, in.Pos,
+				"sancheck is not immediately followed by its matching %s",
+				map[int]string{0: "load", 1: "store"}[in.B])
+		}
 	default:
 		emit(IDBadTerminator, bi, ii, in.Pos, "unknown opcode %d", uint8(in.Op))
 	}
 }
 
-// verifySanitizerShape enforces the SanitizerPass contract: every
-// OpSanCheck guards exactly the access that follows it (CLX112), and — in
-// a module marked Sanitized — every load/store is either guarded or
-// carries the SanElide proof mark (CLX113). This is what keeps the pass
-// honest under VerifyEach: dropping a check without recording the elision
-// is a verifier error, not a silent soundness hole.
-func verifySanitizerShape(m *ir.Module, f *ir.Func,
-	emit func(string, int, int, int32, string, ...interface{})) {
-
-	for bi, b := range f.Blocks {
-		for ii := range b.Instrs {
-			in := &b.Instrs[ii]
-			switch in.Op {
-			case ir.OpSanCheck:
-				var next *ir.Instr
-				if ii+1 < len(b.Instrs) {
-					next = &b.Instrs[ii+1]
-				}
-				ok := next != nil &&
-					((in.B == 0 && next.Op == ir.OpLoad) || (in.B == 1 && next.Op == ir.OpStore)) &&
-					next.A == in.A && next.Imm == in.Imm && next.Size == in.Size
-				if !ok {
-					emit(IDOrphanCheck, bi, ii, in.Pos,
-						"sancheck is not immediately followed by its matching %s",
-						map[int]string{0: "load", 1: "store"}[in.B])
-				}
-			case ir.OpLoad, ir.OpStore:
-				if !m.Sanitized || in.SanElide {
-					continue
-				}
-				guarded := false
-				if ii > 0 {
-					prev := &b.Instrs[ii-1]
-					want := 0
-					if in.Op == ir.OpStore {
-						want = 1
-					}
-					guarded = prev.Op == ir.OpSanCheck && prev.B == want &&
-						prev.A == in.A && prev.Imm == in.Imm && prev.Size == in.Size
-				}
-				if !guarded {
-					emit(IDUncheckedAcc, bi, ii, in.Pos,
-						"%s in sanitized module is neither shadow-checked nor elision-marked", in.Op)
-				}
-			}
-		}
+// guards reports whether chk is the shadow check for access acc: a
+// sancheck of acc's direction (0 load, 1 store), address, offset and size.
+func guards(chk, acc *ir.Instr) bool {
+	dir := 0
+	if acc.Op == ir.OpStore {
+		dir = 1
 	}
+	return chk.Op == ir.OpSanCheck && (acc.Op == ir.OpLoad || acc.Op == ir.OpStore) &&
+		chk.B == dir && chk.A == acc.A && chk.Imm == acc.Imm && chk.Size == acc.Size
 }
 
 // verifyAssigned flags every register read that is not definitely assigned

@@ -7,9 +7,9 @@ import (
 	"closurex/internal/ir"
 )
 
-var testBuiltins = map[string]bool{
+var testBuiltins = NewBuiltins(map[string]bool{
 	"malloc": true, "free": true, "exit": true, "fopen": true, "memcpy": true,
-}
+})
 
 // validModule hand-assembles a small well-formed module:
 //
@@ -56,12 +56,15 @@ func TestVerifyCleanModule(t *testing.T) {
 }
 
 // TestVerifyBrokenModules drives the verifier over one seeded defect per
-// structural invariant and asserts exactly the intended catalog ID fires.
+// invariant and asserts the intended catalog ID fires (and, where set,
+// that its message carries wantMsg). The structural leg must see every
+// defect but a CLX109 one, which only the dataflow leg can.
 func TestVerifyBrokenModules(t *testing.T) {
 	cases := []struct {
-		name   string
-		breakM func(m *ir.Module)
-		wantID string
+		name    string
+		breakM  func(m *ir.Module)
+		wantID  string
+		wantMsg string
 	}{
 		{
 			name: "missing terminator",
@@ -69,7 +72,8 @@ func TestVerifyBrokenModules(t *testing.T) {
 				b := m.Func("main").Blocks[3]
 				b.Instrs = []ir.Instr{{Op: ir.OpConst, Dst: 0, Imm: 9}}
 			},
-			wantID: IDBadTerminator,
+			wantID:  IDBadTerminator,
+			wantMsg: "falls through",
 		},
 		{
 			name: "terminator mid-block",
@@ -149,11 +153,29 @@ func TestVerifyBrokenModules(t *testing.T) {
 			wantID: IDBadGlobal,
 		},
 		{
+			name: "too few call args",
+			breakM: func(m *ir.Module) {
+				h := m.Func("helper")
+				h.NumParams, h.NumRegs = 2, 2
+			},
+			wantID:  IDBadArity,
+			wantMsg: "1 args, want 2",
+		},
+		{
 			name: "register out of range",
 			breakM: func(m *ir.Module) {
 				m.Func("main").Blocks[2].Instrs[0].Dst = 55
 			},
 			wantID: IDBadRegister,
+		},
+		{
+			name: "src register out of range",
+			breakM: func(m *ir.Module) {
+				b := m.Func("main").Blocks[2]
+				b.Instrs = append([]ir.Instr{{Op: ir.OpMov, Dst: 2, A: 5}}, b.Instrs...)
+			},
+			wantID:  IDBadRegister,
+			wantMsg: "src register 5",
 		},
 		{
 			name: "bad access size",
@@ -190,17 +212,44 @@ func TestVerifyBrokenModules(t *testing.T) {
 			if !ds.HasErrors() {
 				t.Fatalf("verifier missed the seeded defect")
 			}
-			ids := ds.IDs()
-			found := false
-			for _, id := range ids {
-				if id == tc.wantID {
-					found = true
-				}
+			hits := ds.ByID(tc.wantID)
+			if len(hits) == 0 {
+				t.Fatalf("want %s among %v:\n%s", tc.wantID, ds.IDs(), ds)
 			}
-			if !found {
-				t.Fatalf("want %s among %v:\n%s", tc.wantID, ids, ds)
+			if !strings.Contains(hits.String(), tc.wantMsg) {
+				t.Fatalf("%s message lacks %q:\n%s", tc.wantID, tc.wantMsg, hits)
+			}
+			sds := VerifyStructure(m, testBuiltins)
+			if tc.wantID == IDUnassignedUse {
+				if len(sds) != 0 {
+					t.Fatalf("structural leg reported a dataflow defect:\n%s", sds)
+				}
+			} else if len(sds.ByID(tc.wantID)) == 0 {
+				t.Fatalf("structural leg missed %s:\n%s", tc.wantID, sds)
 			}
 		})
+	}
+}
+
+// TestVerifyResolvesBuiltinCallee: a callee that is no module function
+// resolves only through the builtin set the verifier is given.
+func TestVerifyResolvesBuiltinCallee(t *testing.T) {
+	m := validModule()
+	m.Func("main").Blocks[1].Instrs[0].Callee = "mystery"
+	if ds := VerifyStructure(m, testBuiltins); len(ds.ByID(IDBadCallee)) != 1 {
+		t.Fatalf("unresolved callee not reported once:\n%s", ds)
+	}
+	if ds := Verify(m, NewBuiltins(map[string]bool{"mystery": true})); len(ds) != 0 {
+		t.Fatalf("builtin callee rejected:\n%s", ds)
+	}
+}
+
+// TestVerifyStructureAllocFree pins the per-pass gate's cost: on a clean
+// module, with the builtin slot order prepared once, it allocates nothing.
+func TestVerifyStructureAllocFree(t *testing.T) {
+	m := validModule()
+	if n := testing.AllocsPerRun(100, func() { VerifyStructure(m, testBuiltins) }); n != 0 {
+		t.Fatalf("VerifyStructure allocates %.0f times per clean module, want 0", n)
 	}
 }
 

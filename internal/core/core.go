@@ -13,7 +13,6 @@ import (
 
 	"closurex/internal/analysis"
 	"closurex/internal/analysis/harnessaudit"
-	"closurex/internal/analysis/interproc"
 	"closurex/internal/execmgr"
 	"closurex/internal/faultinject"
 	"closurex/internal/fuzz"
@@ -225,16 +224,10 @@ func BuildWith(file, src string, cfg BuildConfig) (*ir.Module, error) {
 	return InstrumentWith(m, cfg)
 }
 
-// VerifyModule runs the deep analysis verifier (structural invariants plus
-// definite-assignment dataflow) over m with the VM's builtin set, plus the
-// interprocedural elision audit: every TrackElide/FileElide mark and the
-// recorded may-write metadata must be re-derivable from the module as it
-// stands (CLX114/CLX117 on drift).
+// VerifyModule runs the deep check, passes.Verify, over m with the VM's
+// builtin set.
 func VerifyModule(m *ir.Module) analysis.Diagnostics {
-	ds := analysis.Verify(m, vm.Builtins())
-	ds = append(ds, interproc.Audit(m)...)
-	ds.Sort()
-	return ds
+	return passes.Verify(m, analysis.NewBuiltins(vm.Builtins()))
 }
 
 // LintModule runs the restore-completeness lints appropriate for a build

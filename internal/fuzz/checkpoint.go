@@ -126,6 +126,17 @@ func Resume(cfg Config, data []byte) (*Campaign, error) {
 		return nil, fmt.Errorf("%w: taken for %q, config says %q (resume needs the same target and mechanism)",
 			ErrBadCheckpoint, st.Fingerprint, cfg.Fingerprint)
 	}
+	// Reject scheduler state Step would index out of range with. The
+	// scheduler advances each cursor at most once per execution.
+	switch {
+	case len(st.Queue) == 0:
+		return nil, fmt.Errorf("%w: empty queue", ErrBadCheckpoint)
+	case st.Execs < 0 || st.Cursor < 0 || int64(st.Cursor) > st.Execs || st.SentCursor < 0 || int64(st.SentCursor) > st.Execs:
+		return nil, fmt.Errorf("%w: cursor %d or sentinel cursor %d outside [0, %d execs]",
+			ErrBadCheckpoint, st.Cursor, st.SentCursor, st.Execs)
+	case st.Burst < 0 || st.Burst > havocPerSeed:
+		return nil, fmt.Errorf("%w: burst %d outside [0, %d]", ErrBadCheckpoint, st.Burst, havocPerSeed)
+	}
 	c := NewCampaign(cfg)
 	c.rng.SetState(st.RNGState)
 	c.execs = st.Execs
@@ -144,7 +155,7 @@ func Resume(cfg Config, data []byte) (*Campaign, error) {
 		c.quarantined = append(c.quarantined, &Entry{Input: e.Input, FoundAt: e.FoundAt, Gain: e.Gain})
 	}
 	if err := c.bitmap.SetSnapshot(st.Virgin); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
 	if got := c.bitmap.Edges(); got != st.Edges {
 		return nil, fmt.Errorf("%w: edge count %d does not match bitmap (%d)", ErrBadCheckpoint, st.Edges, got)

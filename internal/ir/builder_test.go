@@ -62,22 +62,3 @@ func TestBuilderFinishRejectsFallThrough(t *testing.T) {
 		t.Fatal("Finish accepted an open interior block")
 	}
 }
-
-func TestBuilderFinishAcceptsTerminatedFunc(t *testing.T) {
-	b := NewBuilder("f", 1)
-	b.Ret(0)
-	f, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Name != "f" || len(f.Blocks) != 1 {
-		t.Fatalf("Finish returned %+v", f)
-	}
-	m := NewModule("t")
-	if err := m.AddFunc(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(m, nil); err != nil {
-		t.Fatalf("finished function does not verify: %v", err)
-	}
-}

@@ -13,16 +13,6 @@ func buildAddFunc() *Func {
 	return b.F
 }
 
-func TestBuilderProducesVerifiableFunc(t *testing.T) {
-	m := NewModule("t")
-	if err := m.AddFunc(buildAddFunc()); err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(m, nil); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-}
-
 func TestAddFuncDuplicate(t *testing.T) {
 	m := NewModule("t")
 	if err := m.AddFunc(buildAddFunc()); err != nil {
@@ -30,45 +20,6 @@ func TestAddFuncDuplicate(t *testing.T) {
 	}
 	if err := m.AddFunc(buildAddFunc()); err == nil {
 		t.Fatal("duplicate function accepted")
-	}
-}
-
-func TestRenameFuncRewritesCallSites(t *testing.T) {
-	m := NewModule("t")
-	_ = m.AddFunc(buildAddFunc())
-	b := NewBuilder("main", 0)
-	x := b.Const(1)
-	y := b.Const(2)
-	r := b.Call("add", x, y)
-	b.Ret(r)
-	_ = m.AddFunc(b.F)
-
-	if err := m.RenameFunc("add", "target_add"); err != nil {
-		t.Fatal(err)
-	}
-	if m.Func("add") != nil {
-		t.Fatal("old name still resolves")
-	}
-	if m.Func("target_add") == nil {
-		t.Fatal("new name does not resolve")
-	}
-	mainFn := m.Func("main")
-	found := false
-	for _, blk := range mainFn.Blocks {
-		for _, in := range blk.Instrs {
-			if in.Op == OpCall {
-				if in.Callee != "target_add" {
-					t.Fatalf("call site not rewritten: %q", in.Callee)
-				}
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no call instruction found")
-	}
-	if err := Verify(m, nil); err != nil {
-		t.Fatalf("Verify after rename: %v", err)
 	}
 }
 
@@ -98,102 +49,6 @@ func TestRewriteCalls(t *testing.T) {
 	}
 	if got := b.F.Blocks[0].Instrs[1].Callee; got != "closurex_malloc" {
 		t.Fatalf("callee = %q", got)
-	}
-}
-
-func TestVerifyCatchesBadRegister(t *testing.T) {
-	m := NewModule("t")
-	f := &Func{Name: "bad", NumRegs: 1}
-	f.Blocks = []*Block{{Instrs: []Instr{
-		{Op: OpMov, Dst: 0, A: 5},
-		{Op: OpRet, A: -1},
-	}}}
-	_ = m.AddFunc(f)
-	if err := Verify(m, nil); err == nil {
-		t.Fatal("out-of-range register accepted")
-	}
-}
-
-func TestVerifyCatchesUnterminatedBlock(t *testing.T) {
-	m := NewModule("t")
-	f := &Func{Name: "bad", NumRegs: 1}
-	f.Blocks = []*Block{{Instrs: []Instr{{Op: OpConst, Dst: 0, Imm: 1}}}}
-	_ = m.AddFunc(f)
-	if err := Verify(m, nil); err == nil || !strings.Contains(err.Error(), "not terminated") {
-		t.Fatalf("err = %v, want not-terminated", err)
-	}
-}
-
-func TestVerifyCatchesMidBlockTerminator(t *testing.T) {
-	m := NewModule("t")
-	f := &Func{Name: "bad", NumRegs: 1}
-	f.Blocks = []*Block{{Instrs: []Instr{
-		{Op: OpRet, A: -1},
-		{Op: OpRet, A: -1},
-	}}}
-	_ = m.AddFunc(f)
-	if err := Verify(m, nil); err == nil {
-		t.Fatal("mid-block terminator accepted")
-	}
-}
-
-func TestVerifyCatchesBadBranchTarget(t *testing.T) {
-	m := NewModule("t")
-	f := &Func{Name: "bad", NumRegs: 1}
-	f.Blocks = []*Block{{Instrs: []Instr{{Op: OpBr, Targets: [2]int{7, 0}}}}}
-	_ = m.AddFunc(f)
-	if err := Verify(m, nil); err == nil {
-		t.Fatal("bad branch target accepted")
-	}
-}
-
-func TestVerifyCatchesUnresolvedCallee(t *testing.T) {
-	m := NewModule("t")
-	b := NewBuilder("f", 0)
-	b.Ret(b.Call("mystery"))
-	_ = m.AddFunc(b.F)
-	if err := Verify(m, nil); err == nil {
-		t.Fatal("unresolved callee accepted")
-	}
-	if err := Verify(m, map[string]bool{"mystery": true}); err != nil {
-		t.Fatalf("builtin callee rejected: %v", err)
-	}
-}
-
-func TestVerifyCatchesCallArity(t *testing.T) {
-	m := NewModule("t")
-	_ = m.AddFunc(buildAddFunc())
-	b := NewBuilder("f", 0)
-	b.Ret(b.Call("add", b.Const(1)))
-	_ = m.AddFunc(b.F)
-	if err := Verify(m, nil); err == nil || !strings.Contains(err.Error(), "want 2") {
-		t.Fatalf("arity mismatch: %v", err)
-	}
-}
-
-func TestVerifyCatchesBadAccessSize(t *testing.T) {
-	m := NewModule("t")
-	f := &Func{Name: "bad", NumRegs: 2}
-	f.Blocks = []*Block{{Instrs: []Instr{
-		{Op: OpLoad, Dst: 0, A: 1, Size: 3},
-		{Op: OpRet, A: -1},
-	}}}
-	_ = m.AddFunc(f)
-	if err := Verify(m, nil); err == nil {
-		t.Fatal("size-3 load accepted")
-	}
-}
-
-func TestVerifyCatchesBadGlobalIndex(t *testing.T) {
-	m := NewModule("t")
-	f := &Func{Name: "bad", NumRegs: 1}
-	f.Blocks = []*Block{{Instrs: []Instr{
-		{Op: OpGlobalAddr, Dst: 0, Imm: 3},
-		{Op: OpRet, A: -1},
-	}}}
-	_ = m.AddFunc(f)
-	if err := Verify(m, nil); err == nil {
-		t.Fatal("bad global index accepted")
 	}
 }
 

@@ -9,6 +9,7 @@ package lower
 import (
 	"fmt"
 
+	"closurex/internal/analysis"
 	"closurex/internal/ir"
 	"closurex/internal/minc"
 )
@@ -54,7 +55,7 @@ func Lower(info *minc.ProgramInfo, builtins map[string]bool) (*ir.Module, error)
 			return nil, l.errf(f.Line, "%v", err)
 		}
 	}
-	if err := ir.Verify(l.mod, builtins); err != nil {
+	if err := analysis.VerifyStructure(l.mod, analysis.NewBuiltins(builtins)).Err(); err != nil {
 		return nil, err
 	}
 	return l.mod, nil

@@ -11,8 +11,7 @@ import (
 )
 
 // sectionScramblerPass simulates a buggy pass: it wipes a global's section
-// attribute, a corruption the quick structural ir.Verify gate does not
-// model. Only the deep verify-each sweep can attribute it.
+// attribute (CLX110), which the structural gate after every pass catches.
 type sectionScramblerPass struct{}
 
 func (sectionScramblerPass) Name() string        { return "SectionScramblerPass" }
@@ -22,32 +21,56 @@ func (sectionScramblerPass) Run(m *ir.Module) error {
 	return nil
 }
 
-func TestVerifyEachAttributesOffendingPass(t *testing.T) {
-	// Without verify-each the corruption sails through the pipeline —
-	// exactly the gap the deep verifier closes.
-	m := compileSample(t)
-	pm := NewManager(vm.Builtins()).
-		Add(RenameMainPass{}, sectionScramblerPass{}, NewCoveragePass(1))
-	if err := pm.Run(m); err != nil {
-		t.Fatalf("quick gate unexpectedly caught the section corruption: %v", err)
-	}
+// unassignedReadPass simulates a buggy pass that leaves the IR
+// structurally sound: it prepends a read of a fresh, never-assigned
+// register to the first function (CLX109). Only the dataflow leg of the
+// deep verifier sees it.
+type unassignedReadPass struct{}
 
-	m2 := compileSample(t)
-	pm2 := NewManager(vm.Builtins()).VerifyEach(true).
-		Add(RenameMainPass{}, sectionScramblerPass{}, NewCoveragePass(1))
-	err := pm2.Run(m2)
+func (unassignedReadPass) Name() string        { return "UnassignedReadPass" }
+func (unassignedReadPass) Description() string { return "test-only: reads an unassigned register" }
+func (unassignedReadPass) Run(m *ir.Module) error {
+	f := m.Funcs[0]
+	r := f.NumRegs
+	f.NumRegs++
+	b := f.Blocks[0]
+	b.Instrs = append([]ir.Instr{{Op: ir.OpMov, Dst: r, A: r, B: -1}}, b.Instrs...)
+	return nil
+}
+
+// wantPassDiag asserts err names the offending pass and carries the
+// catalog ID as an errors.Is-able diagnostics error.
+func wantPassDiag(t *testing.T, err error, prefix, id string) {
+	t.Helper()
 	if err == nil {
-		t.Fatal("verify-each missed the corrupted section attribute")
+		t.Fatalf("pipeline accepted the %s corruption", id)
 	}
-	if !strings.Contains(err.Error(), "SectionScramblerPass") {
-		t.Fatalf("error does not name the offending pass: %v", err)
+	if !strings.Contains(err.Error(), prefix) {
+		t.Fatalf("error does not start with %q: %v", prefix, err)
 	}
-	if !strings.Contains(err.Error(), analysis.IDBadSection) {
-		t.Fatalf("error does not carry the catalog ID %s: %v", analysis.IDBadSection, err)
+	if !strings.Contains(err.Error(), id) {
+		t.Fatalf("error does not carry the catalog ID %s: %v", id, err)
 	}
 	if !errors.Is(err, analysis.ErrDiagnostics) {
-		t.Fatalf("verify-each failure not errors.Is-able as diagnostics: %v", err)
+		t.Fatalf("failure not errors.Is-able as diagnostics: %v", err)
 	}
+}
+
+func TestVerifyEachAttributesOffendingPass(t *testing.T) {
+	// The structural gate runs after every pass, verify-each or not.
+	m := compileSample(t)
+	err := NewManager(vm.Builtins()).
+		Add(RenameMainPass{}, sectionScramblerPass{}, NewCoveragePass(1)).Run(m)
+	wantPassDiag(t, err, "after pass SectionScramblerPass", analysis.IDBadSection)
+
+	// A read of an unassigned register passes the structural gate...
+	pipeline := func() []Pass { return []Pass{RenameMainPass{}, unassignedReadPass{}, NewCoveragePass(1)} }
+	if err := NewManager(vm.Builtins()).Add(pipeline()...).Run(compileSample(t)); err != nil {
+		t.Fatalf("structural gate flagged a structurally sound module: %v", err)
+	}
+	// ...and only the deep verify-each sweep attributes it.
+	err = NewManager(vm.Builtins()).VerifyEach(true).Add(pipeline()...).Run(compileSample(t))
+	wantPassDiag(t, err, "verify-each: pass UnassignedReadPass", analysis.IDUnassignedUse)
 }
 
 func TestVerifyEachQuietOnHealthyPipeline(t *testing.T) {

@@ -3,6 +3,7 @@ package passes
 import (
 	"testing"
 
+	"closurex/internal/analysis"
 	"closurex/internal/ir"
 	"closurex/internal/lower"
 	"closurex/internal/targets"
@@ -137,7 +138,7 @@ func TestDeadBlockRemapsTargets(t *testing.T) {
 	if err := (DeadBlockPass{}).Run(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := ir.Verify(m, nil); err != nil {
+	if err := analysis.VerifyStructure(m, analysis.Builtins{}).Err(); err != nil {
 		t.Fatalf("verify after dead-block removal: %v", err)
 	}
 	if len(b.F.Blocks) != 3 {

@@ -41,18 +41,18 @@ type Pass interface {
 	Run(m *ir.Module) error
 }
 
-// Manager runs a pipeline of passes, verifying the module after each one
-// (like `opt -verify-each`).
+// Manager runs a pipeline of passes, checking the module's structure after
+// each one (like `opt -verify-each`).
 type Manager struct {
 	passes     []Pass
-	builtins   map[string]bool
+	builtins   analysis.Builtins
 	verifyEach bool
 }
 
 // NewManager returns an empty pipeline; builtins is the callee set the
 // verifier accepts.
 func NewManager(builtins map[string]bool) *Manager {
-	return &Manager{builtins: builtins}
+	return &Manager{builtins: analysis.NewBuiltins(builtins)}
 }
 
 // Add appends a pass.
@@ -61,12 +61,12 @@ func (pm *Manager) Add(p ...Pass) *Manager {
 	return pm
 }
 
-// VerifyEach arms the deep analysis verifier between passes: in addition
-// to the quick structural ir.Verify gate, the full analysis.Verify
-// (definite assignment, section attributes, every violation collected)
-// re-checks the module after every pass, and a failure names the pass that
-// broke the invariant. This is the `opt -verify-each` workflow; the
-// verifyeach build tag turns it on for every build in the test suite.
+// VerifyEach arms the deep check between passes: in addition to the
+// structural gate every pass gets, Verify (definite assignment and the
+// interprocedural elision audit) re-checks the module after every pass,
+// and a failure names the pass that broke the invariant. This is the
+// `opt -verify-each` workflow; the verifyeach build tag turns it on for
+// every build in the test suite.
 func (pm *Manager) VerifyEach(on bool) *Manager {
 	pm.verifyEach = on
 	return pm
@@ -81,22 +81,29 @@ func (pm *Manager) Run(m *ir.Module) error {
 		if err := p.Run(m); err != nil {
 			return fmt.Errorf("pass %s: %w", p.Name(), err)
 		}
-		if err := ir.Verify(m, pm.builtins); err != nil {
+		if err := analysis.VerifyStructure(m, pm.builtins).Err(); err != nil {
 			return fmt.Errorf("after pass %s: %w", p.Name(), err)
 		}
 		if pm.verifyEach {
-			if ds := analysis.Verify(m, pm.builtins); ds.HasErrors() {
-				return fmt.Errorf("verify-each: pass %s left the module invalid: %w", p.Name(), ds.Err())
-			}
-			// Re-derive every interprocedural elision claim: an unsound
-			// TrackElide/FileElide mark or drifted may-write metadata is a
-			// pipeline bug on par with a structural violation.
-			if ds := interproc.Audit(m); ds.HasErrors() {
-				return fmt.Errorf("verify-each: pass %s broke an elision claim: %w", p.Name(), ds.Err())
+			if err := Verify(m, pm.builtins).Err(); err != nil {
+				return fmt.Errorf("verify-each: pass %s left the module invalid: %w", p.Name(), err)
 			}
 		}
 	}
 	return nil
+}
+
+// Verify is the deep check of a module: the full analysis verifier
+// (structure plus definite assignment) and the interprocedural elision
+// audit, which re-derives every TrackElide/FileElide mark and the recorded
+// may-write metadata from the module as it stands (CLX114/CLX117 on
+// drift). An unsound elision claim is a pipeline bug on par with a
+// structural violation.
+func Verify(m *ir.Module, builtins analysis.Builtins) analysis.Diagnostics {
+	ds := analysis.Verify(m, builtins)
+	ds = append(ds, interproc.Audit(m)...)
+	ds.Sort()
+	return ds
 }
 
 // ClosureXPipeline returns the paper's pass pipeline in its canonical

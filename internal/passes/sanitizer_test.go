@@ -52,7 +52,7 @@ func TestSanitizerPassCoversEveryAccess(t *testing.T) {
 		t.Fatalf("without elision every access must be checked: %d checks, %d accesses", checks, loads)
 	}
 	// The structural verifier (including CLX112/CLX113) accepts the result.
-	if ds := analysis.Verify(m, vm.Builtins()); ds.HasErrors() {
+	if ds := analysis.Verify(m, analysis.NewBuiltins(vm.Builtins())); ds.HasErrors() {
 		t.Fatalf("verifier rejects sanitized module: %v", ds.Errors())
 	}
 }
@@ -68,7 +68,7 @@ func TestSanitizerPassElidesAndStaysVerified(t *testing.T) {
 	if checks+elided != total {
 		t.Fatalf("checks(%d)+elided(%d) != accesses(%d)", checks, elided, total)
 	}
-	if ds := analysis.Verify(m, vm.Builtins()); ds.HasErrors() {
+	if ds := analysis.Verify(m, analysis.NewBuiltins(vm.Builtins())); ds.HasErrors() {
 		t.Fatalf("verifier rejects elided module: %v", ds.Errors())
 	}
 }
@@ -141,7 +141,7 @@ func sanVerify(t *testing.T, mutate func(f *ir.Func)) analysis.Diagnostics {
 	if mutate != nil {
 		mutate(f)
 	}
-	return analysis.Verify(m, vm.Builtins())
+	return analysis.Verify(m, analysis.NewBuiltins(vm.Builtins()))
 }
 
 func TestVerifySanitizedModuleClean(t *testing.T) {

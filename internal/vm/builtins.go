@@ -23,7 +23,8 @@ type builtinFn func(v *VM, in *ir.Instr, args []int64) (int64, error)
 // state between test cases.
 var builtins map[string]builtinFn
 
-// Builtins returns the set of resolvable builtin names, for ir.Verify.
+// Builtins returns the set of resolvable builtin names, for the verifier
+// (analysis.NewBuiltins).
 func Builtins() map[string]bool {
 	out := make(map[string]bool, len(builtins))
 	for name := range builtins {

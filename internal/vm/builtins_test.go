@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"closurex/internal/analysis"
 	"closurex/internal/ir"
 	"closurex/internal/vfs"
 )
@@ -29,7 +30,7 @@ func TestFopenFreadLifecycle(t *testing.T) {
 	first := b.Load(buf, 0, 1)
 	b.Ret(b.Bin(ir.Add, b.Bin(ir.Mul, n, b.Const(1000)), first))
 	_ = m.AddFunc(b.F)
-	if err := ir.Verify(m, Builtins()); err != nil {
+	if err := analysis.VerifyStructure(m, analysis.NewBuiltins(Builtins())).Err(); err != nil {
 		t.Fatal(err)
 	}
 	v, err := New(m, Options{Files: map[string][]byte{vfs.InputPath: []byte("Zebra")}})

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"closurex/internal/analysis"
 	"closurex/internal/ir"
 )
 
@@ -19,7 +20,7 @@ func buildModule(t *testing.T, globals []*ir.Global, fns ...*ir.Func) *ir.Module
 			t.Fatal(err)
 		}
 	}
-	if err := ir.Verify(m, Builtins()); err != nil {
+	if err := analysis.VerifyStructure(m, analysis.NewBuiltins(Builtins())).Err(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 	return m
