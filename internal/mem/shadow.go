@@ -4,8 +4,10 @@ package mem
 // byte describes each 8-byte granule of application memory. The plane is
 // sparse — shadow pages materialize on first poison/unpoison — because the
 // fresh-process mechanism and the divergence sentinel build a whole VM per
-// execution and must not pay for a flat shadow up front. An absent shadow
-// page means "never allocated", which reads back as ShadowUnallocated.
+// execution and must not pay for a flat shadow up front. Only the page
+// index, one pointer per shadow page of the span (8 KiB for the 32 MiB
+// heap), is allocated up front. An absent shadow page means "never
+// allocated", which reads back as ShadowUnallocated.
 //
 // Encoding (per shadow byte):
 //
@@ -18,10 +20,19 @@ type Shadow struct {
 	base uint64 // first heap address covered
 	end  uint64 // first address past the covered span
 
-	// pages maps shadow-page index -> materialized shadow page. The index
-	// is ((addr-base)>>ShadowScale)>>PageShift, so one shadow page covers
-	// PageSize<<ShadowScale (32 KiB) of heap.
-	pages map[uint64]*shadowPage
+	// pages indexes the materialized shadow pages by shadow-page number,
+	// ((addr-base)>>ShadowScale)>>PageShift, so one shadow page covers
+	// PageSize<<ShadowScale (32 KiB) of heap; nil means absent. The slice
+	// has one entry per page of the span plus one (1,025 for a 32 MiB
+	// heap), so a lookup is a slice load rather than a map hash.
+	pages []*shadowPage
+
+	// spare holds pages RestoreDirty unlinked because the snapshot lacked
+	// them. page() reuses them before allocating, so the rollback loop —
+	// an iteration mallocs into a fresh shadow page, the restore drops it —
+	// allocates nothing in steady state. Spare pages are never reachable
+	// from pages and never shared with a clone.
+	spare []*shadowPage
 
 	// Dirty tracking for the harness: mirrors the Memory watch machinery.
 	// When armed, the first mutation of each shadow page records it in
@@ -33,6 +44,16 @@ type Shadow struct {
 type shadowPage struct {
 	data [PageSize]byte
 }
+
+// unallocatedPage is the contents of a page that was never written: every
+// byte ShadowUnallocated. New and reused pages are filled from it with one
+// copy.
+var unallocatedPage = func() (p [PageSize]byte) {
+	for i := range p {
+		p[i] = ShadowUnallocated
+	}
+	return p
+}()
 
 // Shadow poison codes. Values 0..7 encode addressability; codes >= 0xf0
 // classify why a granule is off-limits.
@@ -48,9 +69,12 @@ const ShadowScale = 3
 // ShadowGranule is the granule size in bytes.
 const ShadowGranule = 1 << ShadowScale
 
-// NewShadow creates a shadow plane over the heap span [base, end).
+// NewShadow creates a shadow plane over the heap span [base, end). The page
+// index has a slot per shadow page of the span plus one, so an access
+// straddling the span's last granule still indexes.
 func NewShadow(base, end uint64) *Shadow {
-	return &Shadow{base: base, end: end, pages: make(map[uint64]*shadowPage)}
+	npages := ((end - base) >> ShadowScale >> PageShift) + 1
+	return &Shadow{base: base, end: end, pages: make([]*shadowPage, npages)}
 }
 
 // Covers reports whether addr falls inside the shadowed span.
@@ -63,44 +87,54 @@ func (s *Shadow) locate(addr uint64) (uint64, int) {
 }
 
 // page returns the materialized shadow page pn, creating it (filled with
-// ShadowUnallocated) on first write. Marks the page dirty when watched.
+// ShadowUnallocated, from a spare page when one is left over from a
+// restore) on first write. Marks the page dirty when watched, so every
+// watched page is materialized.
 func (s *Shadow) page(pn uint64) *shadowPage {
 	if s.watchBits != nil {
 		s.markWatched(pn)
 	}
 	pg := s.pages[pn]
 	if pg == nil {
-		pg = &shadowPage{}
-		for i := range pg.data {
-			pg.data[i] = ShadowUnallocated
+		if n := len(s.spare); n > 0 {
+			pg = s.spare[n-1]
+			s.spare = s.spare[:n-1]
+		} else {
+			pg = new(shadowPage)
 		}
+		pg.data = unallocatedPage
 		s.pages[pn] = pg
 	}
 	return pg
 }
 
-// shadowByte reads the shadow byte for the granule containing addr.
+// shadowByte reads the shadow byte for the granule containing addr; a
+// granule past the indexed span reads as unallocated, like an absent page.
 func (s *Shadow) shadowByte(addr uint64) byte {
 	pn, off := s.locate(addr)
-	pg := s.pages[pn]
-	if pg == nil {
-		return ShadowUnallocated
+	if pn < uint64(len(s.pages)) {
+		if pg := s.pages[pn]; pg != nil {
+			return pg.data[off]
+		}
 	}
-	return pg.data[off]
+	return ShadowUnallocated
 }
 
 // set writes shadow bytes for n consecutive granules starting at the
-// granule containing addr.
+// granule containing addr, one in-page run at a time.
 func (s *Shadow) set(addr uint64, granules int, code byte) {
 	for granules > 0 {
 		pn, off := s.locate(addr)
-		pg := s.page(pn)
-		for off < PageSize && granules > 0 {
-			pg.data[off] = code
-			off++
-			granules--
-			addr += ShadowGranule
+		run := s.page(pn).data[off:min(off+granules, PageSize)]
+		if code == 0 {
+			clear(run)
+		} else {
+			for i := range run {
+				run[i] = code
+			}
 		}
+		granules -= len(run)
+		addr += uint64(len(run)) << ShadowScale
 	}
 }
 
@@ -172,10 +206,7 @@ func (s *Shadow) Check(addr uint64, n int) (byte, bool) {
 // forked harness image keeps rolling back the shadow pages it mutates.
 func (s *Shadow) Clone() *Shadow {
 	ns := NewShadow(s.base, s.end)
-	for pn, pg := range s.pages {
-		cp := *pg
-		ns.pages[pn] = &cp
-	}
+	copyPages(ns.pages, s.pages)
 	if s.watchBits != nil {
 		ns.watchBits = make([]uint64, len(s.watchBits))
 	}
@@ -184,22 +215,30 @@ func (s *Shadow) Clone() *Shadow {
 
 // --- dirty tracking + snapshot/restore (harness integration) ---
 
+// copyPages deep-copies every materialized page of src into dst (same
+// length), leaving absent pages absent.
+func copyPages(dst, src []*shadowPage) {
+	for pn, pg := range src {
+		if pg != nil {
+			cp := *pg
+			dst[pn] = &cp
+		}
+	}
+}
+
 // ShadowSnapshot is a point-in-time deep copy of the shadow plane,
-// captured by the harness after deferred initialization.
+// captured by the harness after deferred initialization. Its pages slice
+// is indexed like the live plane's.
 type ShadowSnapshot struct {
-	pages map[uint64]*shadowPage
+	pages []*shadowPage
 }
 
 // Snapshot captures the current shadow contents and arms dirty tracking,
 // so a later RestoreDirty touches only pages mutated since this call.
 func (s *Shadow) Snapshot() *ShadowSnapshot {
-	snap := &ShadowSnapshot{pages: make(map[uint64]*shadowPage, len(s.pages))}
-	for pn, pg := range s.pages {
-		cp := *pg
-		snap.pages[pn] = &cp
-	}
-	npages := ((s.end - s.base) >> ShadowScale >> PageShift) + 1
-	s.watchBits = make([]uint64, (npages+63)/64)
+	snap := &ShadowSnapshot{pages: make([]*shadowPage, len(s.pages))}
+	copyPages(snap.pages, s.pages)
+	s.watchBits = make([]uint64, (len(s.pages)+63)/64)
 	s.watchList = s.watchList[:0]
 	return snap
 }
@@ -220,20 +259,21 @@ func (s *Shadow) markWatched(pn uint64) {
 func (s *Shadow) DirtyPages() int { return len(s.watchList) }
 
 // RestoreDirty rolls every shadow page mutated since the last watch reset
-// back to its snapshot contents, then re-arms tracking. Pages that did not
-// exist at snapshot time are dropped (back to the absent/unallocated
-// default). Returns the number of pages restored.
+// back to its snapshot contents in place, then re-arms tracking. Pages
+// that did not exist at snapshot time are dropped (back to the
+// absent/unallocated default) onto the spare list for page() to reuse.
+// Returns the number of pages restored.
 func (s *Shadow) RestoreDirty(snap *ShadowSnapshot) int {
-	n := 0
 	for _, pn := range s.watchList {
-		if orig, ok := snap.pages[pn]; ok {
-			cp := *orig
-			s.pages[pn] = &cp
+		pg := s.pages[pn] // watched, so materialized
+		if orig := snap.pages[pn]; orig != nil {
+			pg.data = orig.data
 		} else {
-			delete(s.pages, pn)
+			s.pages[pn] = nil
+			s.spare = append(s.spare, pg)
 		}
-		n++
 	}
+	n := len(s.watchList)
 	s.ResetWatch()
 	return n
 }
@@ -258,11 +298,6 @@ func (s *Shadow) Equal(snap *ShadowSnapshot) bool {
 			return false
 		}
 	}
-	for pn, pg := range snap.pages {
-		if _, ok := s.pages[pn]; !ok && !shadowPagesEqual(pg, nil) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -274,12 +309,7 @@ func shadowPagesEqual(a, b *shadowPage) bool {
 		a, b = b, a
 	}
 	if b == nil {
-		for _, v := range a.data {
-			if v != ShadowUnallocated {
-				return false
-			}
-		}
-		return true
+		return a.data == unallocatedPage
 	}
 	return a.data == b.data
 }

@@ -231,3 +231,20 @@ func TestHeapShadowRealloc(t *testing.T) {
 		t.Fatalf("old span after move: (%#x,%v), want freed", code, ok)
 	}
 }
+
+// BenchmarkShadowIteration is one persistent iteration's shadow work on a
+// page the snapshot lacks: an allocation unpoisons into it, and the
+// restore rolls it back to absent.
+func BenchmarkShadowIteration(b *testing.B) {
+	s := NewShadow(shBase, shEnd)
+	s.Unpoison(shBase, 64) // init-time chunk on the first page
+	snap := s.Snapshot()
+	addr := shBase + uint64(PageSize<<ShadowScale)*5
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Unpoison(addr, 100)
+		s.Poison(addr+104, 24, ShadowRedzone)
+		s.RestoreDirty(snap)
+	}
+}

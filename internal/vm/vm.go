@@ -172,8 +172,9 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	v.Heap.Shift((v.rand() % (1 << 19)) * 16)
 	if opts.Sanitize {
 		// Attach after Shift so the shadow plane's base matches the
-		// randomized allocation base. Sparse: pages materialize on first
-		// allocation, keeping fresh-process and sentinel VMs cheap.
+		// randomized allocation base. Sparse: only the page index is
+		// allocated here and pages materialize on first allocation,
+		// keeping fresh-process and sentinel VMs cheap.
 		v.Heap.AttachShadow()
 	}
 	v.Heap.SetInjector(opts.Injector)
