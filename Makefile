@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race faultcheck lint staticcheck sanitize interproc harness-audit chaos synth fuzz check bench benchjson clean
+.PHONY: all build test vet race faultcheck lint staticcheck sanitize interproc harness-audit chaos synth fuzz layerbench check bench benchjson clean
 
 # Pinned staticcheck release for the opt-in `staticcheck` target.
 STATICCHECK_VERSION ?= 2025.1
@@ -128,7 +128,16 @@ fuzz:
 	$(GO) test -tags verifyeach -run '^$$' -fuzz FuzzInstrumentAnalyses -fuzztime 20s -fuzzminimizetime 1x ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzResume -fuzztime 10s -fuzzminimizetime 1x ./internal/fuzz/
 
-check: vet test race faultcheck lint sanitize interproc harness-audit chaos synth fuzz benchjson
+# Layer-benchmark smoke: 200 iterations each of the interpreter replay
+# (every target's seeds through its ClosureX mechanism, no mutation and no
+# bitmap update; ns/op and ns/instr) and the coverage-map update, so both
+# keep building and running. Compare the VM layer across changes with a
+# longer -benchtime.
+layerbench:
+	$(GO) test -run '^$$' -bench InterpreterSeeds -benchtime 200x ./internal/core/
+	$(GO) test -run '^$$' -bench BitmapUpdate -benchtime 200x ./internal/fuzz/
+
+check: vet test race faultcheck lint sanitize interproc harness-audit chaos synth fuzz layerbench benchjson
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

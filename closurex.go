@@ -321,9 +321,7 @@ func (f *Fuzzer) Jobs() int { return f.inst.Jobs() }
 // triage key if so. Useful for reproducing a crash outside the campaign.
 func (f *Fuzzer) TryOne(input []byte) (crashed bool, key string) {
 	res := f.inst.Mech.Execute(input)
-	for i := range f.inst.CovMap {
-		f.inst.CovMap[i] = 0
-	}
+	fuzz.ClearTrace(f.inst.CovMap)
 	if res.Fault != nil {
 		return true, res.Fault.Key()
 	}
@@ -459,12 +457,7 @@ func (f *Fuzzer) MinimizeCorpus() [][]byte {
 	trace := func(in []byte) map[int]bool {
 		f.inst.Mech.Execute(in)
 		out := map[int]bool{}
-		for i, v := range f.inst.CovMap {
-			if v != 0 {
-				out[i] = true
-				f.inst.CovMap[i] = 0
-			}
-		}
+		fuzz.ConsumeTrace(f.inst.CovMap, func(i int, _ byte) { out[i] = true })
 		return out
 	}
 	return fuzz.MinimizeCorpus(f.Corpus(), trace)

@@ -57,7 +57,8 @@ func diffCampaignObs(t *testing.T, tgt *targets.Target, mode string, a, b *campa
 }
 
 // observeProbedCampaign runs the fixed-seed campaign of mode on tgt with
-// the sentinel armed, fails the test on any divergence, and returns the
+// the sentinel armed, fails the test on any divergence or when no probe
+// compared a non-empty edge set (a vacuous check), and returns the
 // campaign's observables.
 func observeProbedCampaign(t *testing.T, tgt *targets.Target, mode campaignMode) *campaignObs {
 	t.Helper()
@@ -74,6 +75,9 @@ func observeProbedCampaign(t *testing.T, tgt *targets.Target, mode campaignMode)
 	d := inst.Campaign.Divergences()
 	if len(d) != 0 {
 		t.Fatalf("%s/%s: sentinel reported %d divergences; first: %+v", tgt.Short, mode.name, len(d), d[0])
+	}
+	if inst.Campaign.EdgeSetProbes() == 0 {
+		t.Fatalf("%s/%s: no sentinel probe compared a non-empty edge set", tgt.Short, mode.name)
 	}
 	return observeInstance(inst)
 }

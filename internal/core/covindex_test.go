@@ -13,9 +13,10 @@ import (
 )
 
 // covIndexChecked wraps a mechanism and checks the coverage map's
-// touched-line index after every Execute: each non-zero line of cov must
-// have its index byte set. It reports through t.Errorf, which is safe from
-// shard goroutines, and counts the executions it checked.
+// touched-cell index after every Execute: unless the index overflowed,
+// each non-zero cell of cov must be listed. It reports through t.Errorf,
+// which is safe from shard goroutines, and counts the executions it
+// checked; an execution whose index overflowed is not counted.
 type covIndexChecked struct {
 	execmgr.Mechanism
 	t       *testing.T
@@ -25,14 +26,21 @@ type covIndexChecked struct {
 
 func (c *covIndexChecked) Execute(input []byte) vm.Result {
 	res := c.Mechanism.Execute(input)
-	idx := vm.CovIndex(c.cov)
+	idx := vm.CovIndexOf(c.cov)
 	if idx == nil {
-		c.t.Errorf("%s: coverage map has no line index", c.Name())
+		c.t.Errorf("%s: coverage map has no touched-cell index", c.Name())
 		return res
 	}
+	if idx.Overflowed() {
+		return res
+	}
+	listed := make(map[int]bool, idx.Len())
+	for k := 0; k < idx.Len(); k++ {
+		listed[idx.Cell(k)] = true
+	}
 	for i, v := range c.cov {
-		if v != 0 && idx[i>>vm.CovLineShift] == 0 {
-			c.t.Errorf("%s: cell %d is non-zero but its line is unmarked", c.Name(), i)
+		if v != 0 && !listed[i] {
+			c.t.Errorf("%s: cell %d is non-zero but unlisted", c.Name(), i)
 			break
 		}
 	}

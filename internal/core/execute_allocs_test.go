@@ -1,0 +1,75 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"closurex/internal/targets"
+)
+
+// executeAllocs pins the steady-state heap allocations of one ClosureX
+// Execute on each registered target's first seed. Interpretation, the
+// builtins and the restore are allocation-free; the only allocation left
+// is modelled heap drift. The heap is a bump allocator the harness does
+// not rewind, so a target that mallocs a page or more per iteration
+// (inflite, tarlite) faults in a fresh heap page every iteration.
+var executeAllocs = map[string]float64{
+	"inflite": 1,
+	"tarlite": 1,
+}
+
+// TestExecuteAllocs measures testing.AllocsPerRun of one ClosureX Execute
+// per target, after a warm-up that fills every scratch buffer, and
+// requires exactly the pinned count (zero for unlisted targets).
+func TestExecuteAllocs(t *testing.T) {
+	for _, tg := range targets.All() {
+		t.Run(tg.Short, func(t *testing.T) {
+			in, err := NewInstance(noImage(tg), "closurex", InstanceOptions{TrialSeed: 1, DeterministicRand: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			input := tg.Seeds()[0]
+			for i := 0; i < 10; i++ {
+				in.Mech.Execute(input)
+			}
+			got := testing.AllocsPerRun(50, func() { in.Mech.Execute(input) })
+			if want := executeAllocs[tg.Short]; got != want {
+				t.Errorf("%s: %v allocations per Execute, want %v", tg.Name, got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkInterpreterSeeds replays each target's seeds through its
+// ClosureX mechanism: no mutation and no bitmap update, so it times the
+// VM and the restore alone. One op runs every seed once; ns/instr divides
+// the elapsed time by the instructions the seeds interpreted.
+func BenchmarkInterpreterSeeds(b *testing.B) {
+	for _, tg := range targets.All() {
+		b.Run(tg.Short, func(b *testing.B) {
+			in, err := NewInstance(noImage(tg), "closurex", InstanceOptions{TrialSeed: 1, DeterministicRand: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer in.Close()
+			seeds := tg.Seeds()
+			for _, s := range seeds {
+				in.Mech.Execute(s)
+			}
+			var instrs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for _, s := range seeds {
+					instrs += in.Mech.Execute(s).Instrs
+				}
+			}
+			elapsed := time.Since(start)
+			if instrs > 0 {
+				b.ReportMetric(float64(elapsed.Nanoseconds())/float64(instrs), "ns/instr")
+			}
+		})
+	}
+}

@@ -46,14 +46,30 @@ func NewBitmap() *Bitmap { return &Bitmap{} }
 // 1 for a new hit-count bucket on a known edge, 0 for nothing new.
 // The trace is zeroed for the next execution.
 //
-// For a map from vm.NewCovMap the cost is set by the lines the execution
-// touched: the 1 KiB touched-line index is scanned, and only the 64-byte
-// lines it marks are read (see scanTrace). Any other map is scanned in
-// full, skipping empty lines with one test each, so its cost is set by
+// For a map from vm.NewCovMap the cost is set by the cells the execution
+// touched: only the cells its touched-cell index lists are read (see
+// ConsumeTrace). Any other map, or one whose index overflowed, is scanned
+// in full, skipping empty lines with one test each, so its cost is set by
 // the map size.
 func (b *Bitmap) Update(trace []byte) int {
 	ret := 0
-	scanTrace(trace, func(i int, v byte) { ret = b.merge(i, v, ret) })
+	idx := vm.CovIndexOf(trace)
+	if idx == nil || idx.Overflowed() {
+		ConsumeTrace(trace, func(i int, v byte) { ret = b.merge(i, v, ret) })
+		return ret
+	}
+	// ConsumeTrace's listed-cell loop, inlined: this runs once per
+	// execution, and with a closure call per cell BenchmarkBitmapUpdate's
+	// indexed case measured about 1.5x slower.
+	m := (*[MapSize]byte)(trace)
+	for k, n := 0, idx.Len(); k < n; k++ {
+		i := idx.Cell(k)
+		if v := m[i]; v != 0 {
+			m[i] = 0
+			ret = b.merge(i, v, ret)
+		}
+	}
+	idx.Reset()
 	return ret
 }
 
@@ -148,27 +164,33 @@ func wordCells(off int, w uint64, visit func(i int, v byte)) {
 	}
 }
 
-// scanTrace consumes one execution's coverage map: it calls visit, in
-// ascending order, with the index and value of every non-zero cell, and
-// leaves trace zeroed. When trace carries a touched-line index
-// (vm.CovIndex), only the lines the index marks are read, and the index is
-// cleared with them; the index never misses a non-zero line, so the result
-// is that of the full scan. Any other map is scanned in full.
-func scanTrace(trace []byte, visit func(i int, v byte)) {
-	idx := vm.CovIndex(trace)
-	if idx == nil {
+// ConsumeTrace consumes one execution's coverage map: it calls visit
+// with the index and value of every non-zero cell, and leaves trace
+// zeroed. When trace carries a touched-cell index (vm.CovIndexOf) that has
+// not overflowed, only the listed cells are read, in the order the
+// execution first touched them; the index never misses a non-zero cell,
+// so the cells visited are those of the full scan. An overflowed index or
+// a map without one is scanned in full, in ascending order. The index is
+// reset either way.
+func ConsumeTrace(trace []byte, visit func(i int, v byte)) {
+	idx := vm.CovIndexOf(trace)
+	if idx == nil || idx.Overflowed() {
 		scanCells(trace, true, visit)
-		return
-	}
-	le := binary.LittleEndian
-	scanCells(idx[:], true, func(l int, _ byte) {
-		off := l << vm.CovLineShift
-		line := (*[vm.CovLineSize]byte)(trace[off:])
-		for k := 0; k < vm.CovLineSize; k += 8 {
-			if w := le.Uint64(line[k:]); w != 0 {
-				wordCells(off+k, w, visit)
+	} else {
+		for k, n := 0, idx.Len(); k < n; k++ {
+			i := idx.Cell(k)
+			if v := trace[i]; v != 0 {
+				trace[i] = 0
+				visit(i, v)
 			}
 		}
-		clear(line[:])
-	})
+	}
+	if idx != nil {
+		idx.Reset()
+	}
 }
+
+// ClearTrace zeroes a coverage map through its touched-cell index, which
+// it resets, so the next execution's cells are listed afresh. Clearing an
+// indexed map any other way leaves its count growing until it overflows.
+func ClearTrace(trace []byte) { ConsumeTrace(trace, func(int, byte) {}) }

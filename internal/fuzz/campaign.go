@@ -100,12 +100,13 @@ type Campaign struct {
 	cur     *Entry
 
 	// Divergence-sentinel state (see sentinel.go).
-	sentNext    int64 // exec count of the next probe
-	sentCursor  int   // round-robin position over the queue
-	sentBackoff int64 // probe-interval multiplier, doubled per divergence
-	sentFails   int   // consecutive divergent probes
-	divergences []Divergence
-	quarantined []*Entry
+	sentNext       int64 // exec count of the next probe
+	sentCursor     int   // round-robin position over the queue
+	sentBackoff    int64 // probe-interval multiplier, doubled per divergence
+	sentFails      int   // consecutive divergent probes
+	sentEdgeProbes int64 // probes that compared two non-empty edge sets
+	divergences    []Divergence
+	quarantined    []*Entry
 }
 
 // NewCampaign prepares a campaign (seeds are executed on the first Step).

@@ -64,6 +64,11 @@ type Divergence struct {
 // Divergences returns the sentinel's findings so far.
 func (c *Campaign) Divergences() []Divergence { return c.divergences }
 
+// EdgeSetProbes returns how many sentinel probes compared two non-empty
+// edge sets. A sentinel that probes but never reaches this compares
+// nothing: its edge-set check is vacuous.
+func (c *Campaign) EdgeSetProbes() int64 { return c.sentEdgeProbes }
+
 // Quarantined returns queue entries the sentinel pulled out of rotation.
 func (c *Campaign) Quarantined() []*Entry { return c.quarantined }
 
@@ -81,12 +86,15 @@ func (c *Campaign) sentinelProbe() {
 	e := c.queue[c.sentCursor%len(c.queue)]
 	c.sentCursor++
 
-	clear(c.cfg.CovMap)
+	ClearTrace(c.cfg.CovMap)
 	resP := c.cfg.Executor.Execute(e.Input)
 	pEdges := edgeSet(c.cfg.CovMap)
-	clear(s.RefCovMap)
+	ClearTrace(s.RefCovMap)
 	resR := s.Reference.Execute(e.Input)
 	rEdges := edgeSet(s.RefCovMap)
+	if len(pEdges) > 0 && len(rEdges) > 0 {
+		c.sentEdgeProbes++
+	}
 
 	reason := ""
 	switch {
@@ -147,7 +155,7 @@ func (c *Campaign) quarantineEntry(e *Entry) {
 // map for the next execution.
 func edgeSet(m []byte) map[int]struct{} {
 	out := make(map[int]struct{})
-	scanTrace(m, func(i int, _ byte) { out[i] = struct{}{} })
+	ConsumeTrace(m, func(i int, _ byte) { out[i] = struct{}{} })
 	return out
 }
 

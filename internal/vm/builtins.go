@@ -146,7 +146,8 @@ func biExit(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if len(args) > 0 {
 		code = args[0]
 	}
-	return 0, &exitUnwind{code: code}
+	v.exit.code = code
+	return 0, &v.exit
 }
 
 func biAbort(v *VM, in *ir.Instr, args []int64) (int64, error) {
@@ -267,13 +268,38 @@ func biFree(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	return 0, nil
 }
 
-// copyRegion validates and performs an n-byte read or write region access.
-func (v *VM) readRegion(in *ir.Instr, addr uint64, n int) ([]byte, *Fault) {
+// scratchKeep bounds the scratch buffer a VM keeps between builtin calls:
+// a larger transfer gets a buffer of its own, so one huge copy does not
+// pin its size for the VM's lifetime.
+const scratchKeep = 64 << 10
+
+// buffer returns scratch buffer slot resized to n bytes, with arbitrary
+// contents; it stays valid until the next use of the same slot.
+func (v *VM) buffer(slot, n int) []byte {
+	if cap(v.scratch[slot]) < n {
+		b := make([]byte, n)
+		v.keep(slot, b)
+		return b
+	}
+	return v.scratch[slot][:n]
+}
+
+// keep makes b scratch buffer slot's backing array, unless it is larger
+// than scratchKeep.
+func (v *VM) keep(slot int, b []byte) {
+	if cap(b) <= scratchKeep {
+		v.scratch[slot] = b
+	}
+}
+
+// readRegion validates an n-byte read and copies the region into scratch
+// buffer slot.
+func (v *VM) readRegion(in *ir.Instr, addr uint64, n, slot int) ([]byte, *Fault) {
 	if flt := v.checkAccess(addr, n, false, in); flt != nil {
 		return nil, flt
 	}
-	b, err := v.Mem.Read(addr, n)
-	if err != nil {
+	b := v.buffer(slot, n)
+	if err := v.Mem.ReadInto(addr, b); err != nil {
 		return nil, v.fault(FaultWild, in, addr, err.Error())
 	}
 	return b, nil
@@ -305,7 +331,7 @@ func biMemcpy(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if v.budget <= 0 {
 		return 0, v.fault(FaultTimeout, in, 0, "budget exhausted in memcpy")
 	}
-	b, flt := v.readRegion(in, src, int(n))
+	b, flt := v.readRegion(in, src, int(n), 0)
 	if flt != nil {
 		return 0, flt
 	}
@@ -330,11 +356,9 @@ func biMemset(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if v.budget <= 0 {
 		return 0, v.fault(FaultTimeout, in, 0, "budget exhausted in memset")
 	}
-	buf := make([]byte, n)
-	if c != 0 {
-		for i := range buf {
-			buf[i] = c
-		}
+	buf := v.buffer(0, int(n))
+	for i := range buf {
+		buf[i] = c
 	}
 	if flt := v.writeRegion(in, dst, buf); flt != nil {
 		return 0, flt
@@ -354,11 +378,11 @@ func biMemcmp(v *VM, in *ir.Instr, args []int64) (int64, error) {
 		return 0, nil
 	}
 	v.budget -= n
-	a, flt := v.readRegion(in, uint64(args[0]), int(n))
+	a, flt := v.readRegion(in, uint64(args[0]), int(n), 0)
 	if flt != nil {
 		return 0, flt
 	}
-	b, flt := v.readRegion(in, uint64(args[1]), int(n))
+	b, flt := v.readRegion(in, uint64(args[1]), int(n), 1)
 	if flt != nil {
 		return 0, flt
 	}
@@ -399,9 +423,10 @@ func (v *VM) contigReadEnd(addr uint64) uint64 {
 
 // cstr walks a NUL-terminated string with the per-byte loop's exact fault
 // and budget semantics, scanning page-sized valid windows at memory speed
-// instead of one map lookup per byte.
-func (v *VM) cstr(in *ir.Instr, addr uint64) ([]byte, *Fault) {
-	var out []byte
+// instead of one map lookup per byte. The string is read into scratch
+// buffer slot.
+func (v *VM) cstr(in *ir.Instr, addr uint64, slot int) ([]byte, *Fault) {
+	out := v.scratch[slot][:0]
 	for {
 		if flt := v.checkAccess(addr, 1, false, in); flt != nil {
 			return nil, flt
@@ -431,6 +456,7 @@ func (v *VM) cstr(in *ir.Instr, addr uint64) ([]byte, *Fault) {
 			return nil, v.fault(FaultTimeout, in, addr+uint64(j), "budget exhausted in string walk")
 		}
 		out = append(out, data[:k]...)
+		v.keep(slot, out)
 		v.budget -= int64(k)
 		if k < win {
 			return out, nil
@@ -443,7 +469,7 @@ func biStrlen(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if err := argn(v, in, args, 1); err != nil {
 		return 0, err
 	}
-	s, flt := v.cstr(in, uint64(args[0]))
+	s, flt := v.cstr(in, uint64(args[0]), 0)
 	if flt != nil {
 		return 0, flt
 	}
@@ -454,11 +480,11 @@ func biStrcmp(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if err := argn(v, in, args, 2); err != nil {
 		return 0, err
 	}
-	a, flt := v.cstr(in, uint64(args[0]))
+	a, flt := v.cstr(in, uint64(args[0]), 0)
 	if flt != nil {
 		return 0, flt
 	}
-	b, flt := v.cstr(in, uint64(args[1]))
+	b, flt := v.cstr(in, uint64(args[1]), 1)
 	if flt != nil {
 		return 0, flt
 	}
@@ -473,20 +499,21 @@ func biStrncmp(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	a, flt := v.cstrBounded(in, uint64(args[0]), n)
+	a, flt := v.cstrBounded(in, uint64(args[0]), n, 0)
 	if flt != nil {
 		return 0, flt
 	}
-	b, flt := v.cstrBounded(in, uint64(args[1]), n)
+	b, flt := v.cstrBounded(in, uint64(args[1]), n, 1)
 	if flt != nil {
 		return 0, flt
 	}
 	return int64(cmpBytes(a, b)), nil
 }
 
-// cstrBounded reads at most n bytes of a C string (stops at NUL).
-func (v *VM) cstrBounded(in *ir.Instr, addr uint64, n int64) ([]byte, *Fault) {
-	var out []byte
+// cstrBounded reads at most n bytes of a C string (stops at NUL) into
+// scratch buffer slot.
+func (v *VM) cstrBounded(in *ir.Instr, addr uint64, n int64, slot int) ([]byte, *Fault) {
+	out := v.scratch[slot][:0]
 	for n > 0 {
 		if flt := v.checkAccess(addr, 1, false, in); flt != nil {
 			return nil, flt
@@ -517,6 +544,7 @@ func (v *VM) cstrBounded(in *ir.Instr, addr uint64, n int64) ([]byte, *Fault) {
 			return nil, v.fault(FaultTimeout, in, addr+uint64(j), "budget exhausted")
 		}
 		out = append(out, data[:k]...)
+		v.keep(slot, out)
 		v.budget -= int64(k)
 		if k < win {
 			return out, nil
@@ -553,11 +581,12 @@ func biStrcpy(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if err := argn(v, in, args, 2); err != nil {
 		return 0, err
 	}
-	s, flt := v.cstr(in, uint64(args[1]))
+	s, flt := v.cstr(in, uint64(args[1]), 0)
 	if flt != nil {
 		return 0, flt
 	}
 	s = append(s, 0)
+	v.keep(0, s)
 	if flt := v.writeRegion(in, uint64(args[0]), s); flt != nil {
 		return 0, flt
 	}
@@ -568,11 +597,11 @@ func biFopen(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if err := argn(v, in, args, 2); err != nil {
 		return 0, err
 	}
-	path, flt := v.cstr(in, uint64(args[0]))
+	path, flt := v.cstr(in, uint64(args[0]), 0)
 	if flt != nil {
 		return 0, flt
 	}
-	mode, flt := v.cstr(in, uint64(args[1]))
+	mode, flt := v.cstr(in, uint64(args[1]), 1)
 	if flt != nil {
 		return 0, flt
 	}
@@ -632,10 +661,7 @@ func biFread(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if v.budget <= 0 {
 		return 0, v.fault(FaultTimeout, in, 0, "budget exhausted in fread")
 	}
-	if int64(cap(v.ioBuf)) < total {
-		v.ioBuf = make([]byte, total)
-	}
-	buf := v.ioBuf[:total]
+	buf := v.buffer(0, int(total))
 	n, err := v.FS.Read(fd, buf)
 	if err != nil {
 		return 0, nil // EOF/err: fread returns 0 items
@@ -662,7 +688,7 @@ func biFwrite(v *VM, in *ir.Instr, args []int64) (int64, error) {
 		return 0, v.fault(FaultNegativeSize, in, ptr, fmt.Sprintf("fwrite size %d", total))
 	}
 	v.budget -= total
-	b, flt := v.readRegion(in, ptr, int(total))
+	b, flt := v.readRegion(in, ptr, int(total), 0)
 	if flt != nil {
 		return 0, flt
 	}
@@ -720,11 +746,12 @@ func biPuts(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if err := argn(v, in, args, 1); err != nil {
 		return 0, err
 	}
-	s, flt := v.cstr(in, uint64(args[0]))
+	s, flt := v.cstr(in, uint64(args[0]), 0)
 	if flt != nil {
 		return 0, flt
 	}
-	v.appendStdout(append(s, '\n'))
+	v.appendStdout(s)
+	v.appendStdout([]byte{'\n'})
 	return 0, nil
 }
 
@@ -740,7 +767,8 @@ func biPrintInt(v *VM, in *ir.Instr, args []int64) (int64, error) {
 	if err := argn(v, in, args, 1); err != nil {
 		return 0, err
 	}
-	v.appendStdout([]byte(strconv.FormatInt(args[0], 10)))
+	var digits [20]byte
+	v.appendStdout(strconv.AppendInt(digits[:0], args[0], 10))
 	return 0, nil
 }
 

@@ -152,6 +152,39 @@ func TestMemcpyMemsetMemcmp(t *testing.T) {
 	}
 }
 
+// TestScratchBuffersBounded checks that the builtins' scratch buffers are
+// kept for reuse across calls, and that a transfer larger than
+// scratchKeep still copies correctly without the VM keeping its buffer.
+func TestScratchBuffersBounded(t *testing.T) {
+	for _, n := range []int64{64, scratchKeep + 1} {
+		m := ir.NewModule("t")
+		b := ir.NewBuilder("f", 0)
+		p := b.Call("malloc", b.Const(n))
+		q := b.Call("malloc", b.Const(n))
+		_ = b.Call("memset", p, b.Const(0x5a), b.Const(n))
+		_ = b.Call("memcpy", q, p, b.Const(n))
+		b.Ret(b.Call("memcmp", p, q, b.Const(n)))
+		_ = m.AddFunc(b.F)
+		v, err := New(m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if res := v.Call("f"); res.Fault != nil || res.Ret != 0 {
+				t.Fatalf("n=%d call %d: ret %d, fault %v", n, i, res.Ret, res.Fault)
+			}
+		}
+		for slot, buf := range v.scratch {
+			if n > scratchKeep && cap(buf) > scratchKeep {
+				t.Errorf("n=%d: slot %d keeps a %d-byte buffer", n, slot, cap(buf))
+			}
+			if n <= scratchKeep && cap(buf) < int(n) {
+				t.Errorf("n=%d: slot %d kept %d bytes, want the %d-byte buffer reused", n, slot, cap(buf), n)
+			}
+		}
+	}
+}
+
 func TestMemcpyOOBDetected(t *testing.T) {
 	m := ir.NewModule("t")
 	b := ir.NewBuilder("f", 0)

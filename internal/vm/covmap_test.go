@@ -29,33 +29,34 @@ func instrument(t *testing.T, tg *targets.Target) *ir.Module {
 	return m
 }
 
-// checkIndex fails unless every non-zero line of cov has its index byte
-// set, and returns the number of non-zero lines.
+// checkIndex fails unless every non-zero cell of cov is listed in its
+// touched-cell index or the index has overflowed, and returns the number
+// of non-zero cells.
 func checkIndex(t *testing.T, label string, cov []byte) int {
 	t.Helper()
-	idx := vm.CovIndex(cov)
+	idx := vm.CovIndexOf(cov)
 	if idx == nil {
-		t.Fatalf("%s: map has no line index", label)
+		t.Fatalf("%s: map has no touched-cell index", label)
 	}
-	lines := 0
-	for l := range idx {
-		line := cov[l*vm.CovLineSize : (l+1)*vm.CovLineSize]
-		for _, c := range line {
-			if c != 0 {
-				if idx[l] == 0 {
-					t.Fatalf("%s: line %d is non-zero but unmarked", label, l)
-				}
-				lines++
-				break
+	listed := map[int]bool{}
+	for k := 0; k < idx.Len(); k++ {
+		listed[idx.Cell(k)] = true
+	}
+	cells := 0
+	for i, c := range cov {
+		if c != 0 {
+			if !idx.Overflowed() && !listed[i] {
+				t.Fatalf("%s: cell %d is non-zero but unlisted", label, i)
 			}
+			cells++
 		}
 	}
-	return lines
+	return cells
 }
 
 // TestCovIndexInvariantTargets runs every registered target's seeds and
-// bug triggers and requires, after each Call, that every non-zero map line
-// is marked in the index.
+// bug triggers and requires, after each Call, that every non-zero map cell
+// is listed in the index.
 func TestCovIndexInvariantTargets(t *testing.T) {
 	for _, tg := range targets.All() {
 		t.Run(tg.Name, func(t *testing.T) {
@@ -80,8 +81,8 @@ func TestCovIndexInvariantTargets(t *testing.T) {
 	}
 }
 
-// TestCovIndexForkChild checks that a forked child's probes mark the index
-// of the map it shares with its parent.
+// TestCovIndexForkChild checks that a forked child's probes list their
+// cells in the index of the map it shares with its parent.
 func TestCovIndexForkChild(t *testing.T) {
 	tg := targets.All()[0]
 	m := instrument(t, tg)
@@ -90,7 +91,7 @@ func TestCovIndexForkChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vm.CovIndex(parent.EngineCov()) == nil {
+	if vm.CovIndexOf(parent.EngineCov()) == nil {
 		t.Fatal("EngineCov lost the map's index")
 	}
 	child := parent.Fork()
@@ -102,12 +103,12 @@ func TestCovIndexForkChild(t *testing.T) {
 	}
 }
 
-// TestCovIndexOnlyForNewCovMap checks that CovIndex finds the index of a
-// NewCovMap map and of nothing else that looks like a map.
+// TestCovIndexOnlyForNewCovMap checks that CovIndexOf finds the index of
+// a NewCovMap map and of nothing else that looks like a map.
 func TestCovIndexOnlyForNewCovMap(t *testing.T) {
 	m := vm.NewCovMap()
-	if len(m) != vm.CovMapSize || vm.CovIndex(m) == nil {
-		t.Fatalf("NewCovMap: len %d, index %v", len(m), vm.CovIndex(m) != nil)
+	if len(m) != vm.CovMapSize || vm.CovIndexOf(m) == nil {
+		t.Fatalf("NewCovMap: len %d, index %v", len(m), vm.CovIndexOf(m) != nil)
 	}
 	for name, s := range map[string][]byte{
 		"make":       make([]byte, vm.CovMapSize),
@@ -116,11 +117,11 @@ func TestCovIndexOnlyForNewCovMap(t *testing.T) {
 		"capped":     m[:vm.CovMapSize:vm.CovMapSize],
 		"nil":        nil,
 		"whole":      m[:vm.CovMapSize+vm.CovIndexSize],
-		"prefix":     m[:vm.CovLineSize],
+		"prefix":     m[:64],
 		"longer cap": make([]byte, vm.CovMapSize, vm.CovMapSize+2*vm.CovIndexSize),
 	} {
-		if vm.CovIndex(s) != nil {
-			t.Errorf("%s (len %d, cap %d): CovIndex found an index", name, len(s), cap(s))
+		if vm.CovIndexOf(s) != nil {
+			t.Errorf("%s (len %d, cap %d): CovIndexOf found an index", name, len(s), cap(s))
 		}
 	}
 }

@@ -55,9 +55,141 @@ func (v *VM) checkAccess(addr uint64, n int, store bool, in *ir.Instr) *Fault {
 	return v.fault(FaultWild, in, addr, "")
 }
 
+// op is one decoded instruction of the interpreter's stream (32 bytes).
+// decode lays every function of a module out as one flat array of ops,
+// block after block, with branch targets turned into absolute stream
+// positions; in points back at the ir.Instr for fault sites, builtins,
+// sanitizer checks and the binary operators that can fault.
+type op struct {
+	code ir.Op // an ir opcode, or one of the decoded-only codes below
+	size uint8 // OpLoad/OpStore: access width
+	un   ir.UnOp
+	_    byte
+	dst  int32 // destination register; OpCondBr: the false target
+	a    int32 // operand register; OpBr: the target
+	b    int32 // operand register; OpCondBr: the true target
+	// imm is the immediate (an OpGlobalAddr decodes to an OpConst of the
+	// global's address). For OpCall it is the callee: +k runs funcs[k-1],
+	// -k runs builtin slot k-1, and 0 faults with an unknown callee.
+	imm int64
+	in  *ir.Instr
+}
+
+// Decoded-only opcodes, numbered on from the ir range so the dispatch
+// switch stays dense.
+const (
+	// opFellOff ends a block that has no terminator (never on a verified
+	// module). It is not an instruction: it charges no budget and faults.
+	opFellOff = ir.OpSanCheck + 1 + iota
+	// opBin+k is OpBin with operator k, for every operator that cannot
+	// fault; Div and Rem stay OpBin.
+	opBin
+)
+
+// funcCode is one function's place in the stream.
+type funcCode struct {
+	fn    *ir.Func
+	entry int
+}
+
+// program is a module decoded for the interpreter: every function's ops
+// in one array. It is built once per module image (New) and shared
+// read-only by every fork of it.
+type program struct {
+	ops   []op
+	funcs []funcCode // aligned with Module.Funcs
+}
+
+// decode builds mod's stream over the global addresses of lay. Callees
+// are resolved here, once: a call's CalleeIdx when it has one, otherwise
+// its name, module functions first and then builtins, as an unresolved
+// call always looked them up.
+func decode(mod *ir.Module, lay *Layout) *program {
+	n, maxBlocks := 0, 0
+	for _, f := range mod.Funcs {
+		n++ // every function ends in an opFellOff, the target of bad branches
+		for _, blk := range f.Blocks {
+			n += len(blk.Instrs) + 1
+		}
+		maxBlocks = max(maxBlocks, len(f.Blocks))
+	}
+	p := &program{ops: make([]op, 0, n), funcs: make([]funcCode, len(mod.Funcs))}
+	starts := make([]int32, 0, maxBlocks)
+	for fi, f := range mod.Funcs {
+		p.funcs[fi] = funcCode{fn: f, entry: len(p.ops)}
+		// Block starts first, so forward branches resolve in one pass.
+		starts = starts[:0]
+		at := len(p.ops)
+		for _, blk := range f.Blocks {
+			starts = append(starts, int32(at))
+			at += len(blk.Instrs)
+			if blk.Terminator() == nil {
+				at++
+			}
+		}
+		target := func(bi int) int32 {
+			if bi < 0 || bi >= len(starts) {
+				return int32(at) // the function's final opFellOff
+			}
+			return starts[bi]
+		}
+		for _, blk := range f.Blocks {
+			for ii := range blk.Instrs {
+				in := &blk.Instrs[ii]
+				o := op{code: in.Op, size: uint8(in.Size), un: in.Un,
+					dst: int32(in.Dst), a: int32(in.A), b: int32(in.B), imm: in.Imm, in: in}
+				switch in.Op {
+				case ir.OpBin:
+					if in.Bin <= ir.Uge && in.Bin != ir.Div && in.Bin != ir.Rem {
+						o.code = opBin + ir.Op(in.Bin)
+					}
+				case ir.OpGlobalAddr:
+					if in.Imm >= 0 && in.Imm < int64(len(lay.GlobalAddr)) {
+						o.code, o.imm = ir.OpConst, int64(lay.GlobalAddr[in.Imm])
+					}
+				case ir.OpBr:
+					o.a = target(in.Targets[0])
+				case ir.OpCondBr:
+					o.b, o.dst = target(in.Targets[0]), target(in.Targets[1])
+				case ir.OpCall:
+					o.imm = resolveCallee(mod, in)
+				}
+				p.ops = append(p.ops, o)
+			}
+			if blk.Terminator() == nil {
+				p.ops = append(p.ops, op{code: opFellOff})
+			}
+		}
+		p.ops = append(p.ops, op{code: opFellOff})
+	}
+	return p
+}
+
+// resolveCallee returns the decoded callee of an OpCall (see op.imm). A
+// cached index out of range, which the verifier rejects (CLX122), decodes
+// to an unknown callee.
+func resolveCallee(mod *ir.Module, in *ir.Instr) int64 {
+	switch k := in.CalleeIdx; {
+	case k > 0 && k <= len(mod.Funcs):
+		return int64(k)
+	case k < 0 && -k <= len(builtinSlots):
+		return int64(k)
+	case k != 0:
+		return 0
+	}
+	if fi := mod.FuncIndex(in.Callee); fi >= 0 {
+		return int64(fi + 1)
+	}
+	if bi := BuiltinIndex(in.Callee); bi >= 0 {
+		return int64(-(bi + 1))
+	}
+	return 0
+}
+
 // execFunc interprets one function activation. Go-level recursion carries
 // the target's call stack; addressable locals live in the stack segment.
-func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
+func (v *VM) execFunc(fc *funcCode, args []int64) (int64, error) {
+	f := fc.fn
 	if v.depth >= DefaultMaxDepth {
 		return 0, &Fault{Kind: FaultStackOverflow, Fn: f.Name, Msg: "call depth"}
 	}
@@ -97,142 +229,171 @@ func (v *VM) execFunc(f *ir.Func, args []int64) (int64, error) {
 	clear(regs)
 	copy(regs, args)
 
-	bi := 0
-block:
-	for {
-		blk := f.Blocks[bi]
-		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			v.instrs++
-			v.budget--
-			if v.budget <= 0 {
-				return 0, v.fault(FaultTimeout, in, 0, "instruction budget exhausted")
+	ops := v.prog.ops
+	for pc := fc.entry; ; {
+		o := &ops[pc]
+		pc++
+		v.instrs++
+		v.budget--
+		if v.budget <= 0 {
+			if o.code == opFellOff {
+				v.instrs--
+				return 0, v.fault(FaultUnreachable, nil, 0, "fell off block end")
 			}
-			switch in.Op {
-			case ir.OpConst:
-				regs[in.Dst] = in.Imm
-			case ir.OpMov:
-				regs[in.Dst] = regs[in.A]
-			case ir.OpBin:
-				// The two commonest operators skip the binop call.
-				switch a, b := regs[in.A], regs[in.B]; in.Bin {
-				case ir.Add:
-					regs[in.Dst] = a + b
-				case ir.Sub:
-					regs[in.Dst] = a - b
-				default:
-					r, flt := v.binop(in, a, b)
-					if flt != nil {
-						return 0, flt
-					}
-					regs[in.Dst] = r
-				}
-			case ir.OpUn:
-				switch in.Un {
-				case ir.Neg:
-					regs[in.Dst] = -regs[in.A]
-				case ir.Not:
-					if regs[in.A] == 0 {
-						regs[in.Dst] = 1
-					} else {
-						regs[in.Dst] = 0
-					}
-				case ir.BNot:
-					regs[in.Dst] = ^regs[in.A]
-				}
-			case ir.OpLoad:
-				addr := uint64(regs[in.A] + in.Imm)
-				if flt := v.checkAccess(addr, in.Size, false, in); flt != nil {
-					return 0, flt
-				}
-				u, err := v.Mem.ReadUint(addr, in.Size)
-				if err != nil {
-					return 0, v.fault(FaultWild, in, addr, err.Error())
-				}
-				regs[in.Dst] = int64(u)
-			case ir.OpStore:
-				addr := uint64(regs[in.A] + in.Imm)
-				if flt := v.checkAccess(addr, in.Size, true, in); flt != nil {
-					return 0, flt
-				}
-				if err := v.Mem.WriteUint(addr, uint64(regs[in.B]), in.Size); err != nil {
-					return 0, v.fault(FaultOOM, in, addr, err.Error())
-				}
-			case ir.OpGlobalAddr:
-				regs[in.Dst] = int64(v.Layout.GlobalAddr[in.Imm])
-			case ir.OpFrameAddr:
-				regs[in.Dst] = int64(frame + uint64(in.Imm))
-			case ir.OpCall:
-				// Coverage is call-transparent: the callee records its own
-				// internal edges plus one entry edge, and the caller's
-				// context resumes afterwards. This keeps the set of
-				// possible dynamic edges equal to the static CFG+callgraph
-				// bound (passes.TotalEdges), so coverage percentages are
-				// well-defined.
-				saved := v.prevLoc
-				r, err := v.call(in, regs)
-				if err != nil {
-					return 0, err
-				}
-				v.prevLoc = saved
-				regs[in.Dst] = r
-			case ir.OpRet:
-				if in.A >= 0 {
-					return regs[in.A], nil
-				}
-				return 0, nil
-			case ir.OpBr:
-				bi = in.Targets[0]
-				continue block
-			case ir.OpCondBr:
-				if regs[in.A] != 0 {
-					bi = in.Targets[0]
-				} else {
-					bi = in.Targets[1]
-				}
-				continue block
-			case ir.OpCov:
-				loc := uint64(in.Imm)
-				idx := (loc ^ v.prevLoc) & (CovMapSize - 1)
-				// cov and covIdx are always bound (VMs without an external
-				// map or index carry scratch ones), so no nil check in the
-				// hot loop, and the masked index needs no bounds check.
-				v.cov[idx]++
-				v.covIdx[(idx>>CovLineShift)&(CovIndexSize-1)] = 1
-				v.prevLoc = loc >> 1
-				if v.traceEdges {
-					v.pathHash = (v.pathHash ^ idx) * 1099511628211
-					v.pathLen++
-				}
-			case ir.OpUnreachable:
-				return 0, v.fault(FaultUnreachable, in, 0, "")
-			case ir.OpSanCheck:
-				// Budget-transparent: compensate the unconditional decrement
-				// above so arming the sanitizer can never flip a borderline
-				// execution into a hang verdict (differential and
-				// determinism guarantees depend on this).
-				v.budget++
-				addr := uint64(regs[in.A] + in.Imm)
-				if flt := v.sanCheck(addr, in); flt != nil {
-					return 0, flt
-				}
-			}
+			return 0, v.fault(FaultTimeout, o.in, 0, "instruction budget exhausted")
 		}
-		// Every terminator returns or jumps to its target block above, so
-		// only a block without one gets here (never on verified modules).
-		return 0, v.fault(FaultUnreachable, nil, 0, "fell off block end")
+		switch o.code {
+		case ir.OpConst:
+			regs[o.dst] = o.imm
+		case ir.OpMov:
+			regs[o.dst] = regs[o.a]
+		case opBin + ir.Op(ir.Add):
+			regs[o.dst] = regs[o.a] + regs[o.b]
+		case opBin + ir.Op(ir.Sub):
+			regs[o.dst] = regs[o.a] - regs[o.b]
+		case opBin + ir.Op(ir.Mul):
+			regs[o.dst] = regs[o.a] * regs[o.b]
+		case opBin + ir.Op(ir.Shl):
+			regs[o.dst] = regs[o.a] << (uint64(regs[o.b]) & 63)
+		case opBin + ir.Op(ir.Shr):
+			regs[o.dst] = regs[o.a] >> (uint64(regs[o.b]) & 63)
+		case opBin + ir.Op(ir.And):
+			regs[o.dst] = regs[o.a] & regs[o.b]
+		case opBin + ir.Op(ir.Or):
+			regs[o.dst] = regs[o.a] | regs[o.b]
+		case opBin + ir.Op(ir.Xor):
+			regs[o.dst] = regs[o.a] ^ regs[o.b]
+		case opBin + ir.Op(ir.Eq):
+			regs[o.dst] = b2i(regs[o.a] == regs[o.b])
+		case opBin + ir.Op(ir.Ne):
+			regs[o.dst] = b2i(regs[o.a] != regs[o.b])
+		case opBin + ir.Op(ir.Lt):
+			regs[o.dst] = b2i(regs[o.a] < regs[o.b])
+		case opBin + ir.Op(ir.Le):
+			regs[o.dst] = b2i(regs[o.a] <= regs[o.b])
+		case opBin + ir.Op(ir.Gt):
+			regs[o.dst] = b2i(regs[o.a] > regs[o.b])
+		case opBin + ir.Op(ir.Ge):
+			regs[o.dst] = b2i(regs[o.a] >= regs[o.b])
+		case opBin + ir.Op(ir.Ult):
+			regs[o.dst] = b2i(uint64(regs[o.a]) < uint64(regs[o.b]))
+		case opBin + ir.Op(ir.Ule):
+			regs[o.dst] = b2i(uint64(regs[o.a]) <= uint64(regs[o.b]))
+		case opBin + ir.Op(ir.Ugt):
+			regs[o.dst] = b2i(uint64(regs[o.a]) > uint64(regs[o.b]))
+		case opBin + ir.Op(ir.Uge):
+			regs[o.dst] = b2i(uint64(regs[o.a]) >= uint64(regs[o.b]))
+		case ir.OpBin:
+			r, flt := v.divRem(o.in, regs[o.a], regs[o.b])
+			if flt != nil {
+				return 0, flt
+			}
+			regs[o.dst] = r
+		case ir.OpUn:
+			switch o.un {
+			case ir.Neg:
+				regs[o.dst] = -regs[o.a]
+			case ir.Not:
+				if regs[o.a] == 0 {
+					regs[o.dst] = 1
+				} else {
+					regs[o.dst] = 0
+				}
+			case ir.BNot:
+				regs[o.dst] = ^regs[o.a]
+			}
+		case ir.OpLoad:
+			addr := uint64(regs[o.a] + o.imm)
+			if flt := v.checkAccess(addr, int(o.size), false, o.in); flt != nil {
+				return 0, flt
+			}
+			u, err := v.Mem.ReadUint(addr, int(o.size))
+			if err != nil {
+				return 0, v.fault(FaultWild, o.in, addr, err.Error())
+			}
+			regs[o.dst] = int64(u)
+		case ir.OpStore:
+			addr := uint64(regs[o.a] + o.imm)
+			if flt := v.checkAccess(addr, int(o.size), true, o.in); flt != nil {
+				return 0, flt
+			}
+			if err := v.Mem.WriteUint(addr, uint64(regs[o.b]), int(o.size)); err != nil {
+				return 0, v.fault(FaultOOM, o.in, addr, err.Error())
+			}
+		case ir.OpGlobalAddr:
+			// Only a global index out of range stays undecoded.
+			regs[o.dst] = int64(v.Layout.GlobalAddr[o.imm])
+		case ir.OpFrameAddr:
+			regs[o.dst] = int64(frame + uint64(o.imm))
+		case ir.OpCall:
+			// Coverage is call-transparent: the callee records its own
+			// internal edges plus one entry edge, and the caller's
+			// context resumes afterwards. This keeps the set of
+			// possible dynamic edges equal to the static CFG+callgraph
+			// bound (passes.TotalEdges), so coverage percentages are
+			// well-defined.
+			saved := v.prevLoc
+			r, err := v.call(o, regs)
+			if err != nil {
+				return 0, err
+			}
+			v.prevLoc = saved
+			regs[o.dst] = r
+		case ir.OpRet:
+			if o.a >= 0 {
+				return regs[o.a], nil
+			}
+			return 0, nil
+		case ir.OpBr:
+			pc = int(o.a)
+		case ir.OpCondBr:
+			if regs[o.a] != 0 {
+				pc = int(o.b)
+			} else {
+				pc = int(o.dst)
+			}
+		case ir.OpCov:
+			loc := uint64(o.imm)
+			idx := (loc ^ v.prevLoc) & (CovMapSize - 1)
+			// cov and covIdx are always bound (VMs without an external
+			// map or index carry scratch ones), so no nil check in the
+			// hot loop, and the masked index needs no bounds check.
+			c := v.cov[idx]
+			v.cov[idx] = c + 1
+			if c == 0 {
+				v.covIdx.Add(int(idx))
+			}
+			v.prevLoc = loc >> 1
+			if v.traceEdges {
+				v.pathHash = (v.pathHash ^ idx) * 1099511628211
+				v.pathLen++
+			}
+		case ir.OpUnreachable:
+			return 0, v.fault(FaultUnreachable, o.in, 0, "")
+		case ir.OpSanCheck:
+			// Budget-transparent: compensate the unconditional decrement
+			// above so arming the sanitizer can never flip a borderline
+			// execution into a hang verdict (differential and
+			// determinism guarantees depend on this).
+			v.budget++
+			addr := uint64(regs[o.a] + o.imm)
+			if flt := v.sanCheck(addr, o.in); flt != nil {
+				return 0, flt
+			}
+		case opFellOff:
+			// Every terminator returns or jumps, so only a block without
+			// one gets here. Falling off is not an instruction.
+			v.instrs--
+			v.budget++
+			return 0, v.fault(FaultUnreachable, nil, 0, "fell off block end")
+		}
 	}
 }
 
-// binop evaluates a binary operator with C-like 64-bit semantics.
-func (v *VM) binop(in *ir.Instr, a, b int64) (int64, *Fault) {
+// divRem evaluates the OpBin operators the stream does not decode: Div
+// and Rem, with C-like 64-bit semantics, and a bad operator.
+func (v *VM) divRem(in *ir.Instr, a, b int64) (int64, *Fault) {
 	switch in.Bin {
-	case ir.Add:
-		return a + b, nil
-	case ir.Sub:
-		return a - b, nil
-	case ir.Mul:
-		return a * b, nil
 	case ir.Div:
 		if b == 0 {
 			return 0, v.fault(FaultDivByZero, in, 0, "")
@@ -249,36 +410,6 @@ func (v *VM) binop(in *ir.Instr, a, b int64) (int64, *Fault) {
 			return 0, nil
 		}
 		return a % b, nil
-	case ir.Shl:
-		return a << (uint64(b) & 63), nil
-	case ir.Shr:
-		return a >> (uint64(b) & 63), nil
-	case ir.And:
-		return a & b, nil
-	case ir.Or:
-		return a | b, nil
-	case ir.Xor:
-		return a ^ b, nil
-	case ir.Eq:
-		return b2i(a == b), nil
-	case ir.Ne:
-		return b2i(a != b), nil
-	case ir.Lt:
-		return b2i(a < b), nil
-	case ir.Le:
-		return b2i(a <= b), nil
-	case ir.Gt:
-		return b2i(a > b), nil
-	case ir.Ge:
-		return b2i(a >= b), nil
-	case ir.Ult:
-		return b2i(uint64(a) < uint64(b)), nil
-	case ir.Ule:
-		return b2i(uint64(a) <= uint64(b)), nil
-	case ir.Ugt:
-		return b2i(uint64(a) > uint64(b)), nil
-	case ir.Uge:
-		return b2i(uint64(a) >= uint64(b)), nil
 	}
 	return 0, v.fault(FaultBadCall, in, 0, fmt.Sprintf("bad binop %d", in.Bin))
 }
@@ -294,7 +425,8 @@ func b2i(b bool) int64 {
 // values are staged in a stack buffer: both execFunc (which copies them
 // into the callee's registers immediately) and builtins (which consume
 // them synchronously) are done with the buffer before any reentry.
-func (v *VM) call(in *ir.Instr, regs []int64) (int64, error) {
+func (v *VM) call(o *op, regs []int64) (int64, error) {
+	in := o.in
 	for len(v.argPool) <= v.depth {
 		v.argPool = append(v.argPool, nil)
 	}
@@ -307,22 +439,11 @@ func (v *VM) call(in *ir.Instr, regs []int64) (int64, error) {
 	for i, a := range in.Args {
 		args[i] = regs[a]
 	}
-	// Fast path: the callee was pre-resolved at module-commit time
-	// (ResolveModule), so no string-map lookup per call. CalleeIdx 0 keeps
-	// the name-lookup path for modules executed without a commit step
-	// (hand-built tests, partially rewritten modules).
 	switch {
-	case in.CalleeIdx > 0:
-		return v.execFunc(v.Mod.Funcs[in.CalleeIdx-1], args)
-	case in.CalleeIdx < 0:
-		return builtinSlots[-in.CalleeIdx-1](v, in, args)
+	case o.imm > 0:
+		return v.execFunc(&v.prog.funcs[o.imm-1], args)
+	case o.imm < 0:
+		return builtinSlots[-o.imm-1](v, in, args)
 	}
-	if callee := v.Mod.Func(in.Callee); callee != nil {
-		return v.execFunc(callee, args)
-	}
-	bfn, ok := builtins[in.Callee]
-	if !ok {
-		return 0, v.fault(FaultBadCall, in, 0, "unknown callee "+in.Callee)
-	}
-	return bfn(v, in, args)
+	return 0, v.fault(FaultBadCall, in, 0, "unknown callee "+in.Callee)
 }

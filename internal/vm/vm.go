@@ -35,8 +35,8 @@ var aslrCounter atomic.Uint64
 type Options struct {
 	// CovMap, when non-nil, receives AFL-style hit counts; it must be
 	// CovMapSize bytes long or New fails. A map from NewCovMap also gets
-	// its touched-line index kept (see CovIndex): every probe that bumps
-	// a cell marks the cell's line, so consumers read only those lines.
+	// its touched-cell index kept (see CovIndexOf): every probe that bumps
+	// a cell from zero lists the cell, so consumers read only those cells.
 	// Any other map works too; its VM keeps a private index nobody reads.
 	CovMap []byte
 	// Budget overrides DefaultBudget when > 0.
@@ -88,9 +88,11 @@ type VM struct {
 	Heap   *mem.Heap
 	FS     *vfs.FS
 
-	covMap  []byte              // full-capacity map, as EngineCov returns it
-	cov     *[CovMapSize]byte   // covMap as an array: OpCov's bounds-check-free view
-	covIdx  *[CovIndexSize]byte // covMap's touched-line index (see bindCov)
+	prog *program // Mod decoded at New; shared read-only with every fork
+
+	covMap  []byte            // full-capacity map, as EngineCov returns it
+	cov     *[CovMapSize]byte // covMap as an array: OpCov's bounds-check-free view
+	covIdx  *CovIndex         // covMap's touched-cell index (see bindCov)
 	prevLoc uint64
 
 	budget    int64
@@ -122,16 +124,23 @@ type VM struct {
 	// with more arguments than the stack buffer holds; same lifecycle
 	// argument as regPool (consumed before any same-depth reuse).
 	argPool [][]int64
-	// ioBuf is scratch for builtin I/O transfers (fread staging); sized to
-	// the high-water transfer and reused so steady-state reads are
-	// allocation-free.
-	ioBuf []byte
+	// scratch holds the builtins' staging buffers (strings walked, regions
+	// read, fread transfers), two so a builtin can hold both operands of
+	// a comparison. Each is reused up to scratchKeep bytes, so
+	// steady-state builtins are allocation-free.
+	scratch [2][]byte
+	// exit is the value exit() unwinds with, reused for the same reason.
+	exit exitUnwind
 }
 
 // New builds a process image for mod: lays out globals, writes their
-// initializers, and prepares heap, stack and filesystem. This is the
-// expensive "load the binary" step that fresh-process fuzzing repeats for
-// every test case.
+// initializers, decodes the functions into the interpreter's stream, and
+// prepares heap, stack and filesystem. This is the expensive "load the
+// binary" step that fresh-process fuzzing repeats for every test case.
+//
+// A VM runs mod's code as it was at New, as a process runs the binary it
+// loaded: changing mod's functions afterwards does not change what this
+// VM, or a fork of it, executes.
 func New(mod *ir.Module, opts Options) (*VM, error) {
 	lay := NewLayout(mod)
 	if lay.End >= HeapBase {
@@ -140,6 +149,7 @@ func New(mod *ir.Module, opts Options) (*VM, error) {
 	v := &VM{
 		Mod:        mod,
 		Layout:     lay,
+		prog:       decode(mod, lay),
 		Mem:        mem.NewMemory(),
 		maxBudget:  opts.Budget,
 		traceEdges: opts.TraceEdges,
@@ -246,6 +256,7 @@ func (v *VM) Fork() *VM {
 	child := &VM{
 		Mod:        v.Mod,
 		Layout:     v.Layout,
+		prog:       v.prog,
 		Mem:        cm,
 		Heap:       v.Heap.Clone(cm),
 		FS:         v.FS.Clone(),
@@ -282,8 +293,8 @@ func (v *VM) RestoreFromSnapshot(template *VM) {
 // Call invokes the named function with args as one execution: the budget,
 // coverage context and capture buffers are reset first.
 func (v *VM) Call(name string, args ...int64) Result {
-	f := v.Mod.Func(name)
-	if f == nil {
+	fi := v.Mod.FuncIndex(name)
+	if fi < 0 || fi >= len(v.prog.funcs) {
 		return Result{Fault: &Fault{Kind: FaultBadCall, Fn: name, Msg: "no such function"}}
 	}
 	v.budget = v.maxBudget
@@ -294,7 +305,7 @@ func (v *VM) Call(name string, args ...int64) Result {
 	v.depth = 0
 	v.Stdout = v.Stdout[:0]
 
-	ret, err := v.execFunc(f, args)
+	ret, err := v.execFunc(&v.prog.funcs[fi], args)
 	res := Result{Ret: ret, Instrs: v.instrs, PathHash: v.pathHash, PathLen: v.pathLen}
 	switch e := err.(type) {
 	case nil:
