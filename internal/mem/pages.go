@@ -9,10 +9,14 @@
 // copies the page table and faults dirty pages, and a ClosureX iteration
 // touches only the fine-grain state it restores. The relative costs of the
 // paper's execution mechanisms therefore emerge from the data structures
-// themselves.
+// themselves. The page table has the shape of a hardware one: a directory
+// of 512-entry tables whose entries point at reference-counted page
+// frames, so a fork copies each populated table and takes one reference
+// per resident frame, as a kernel's fork does.
 package mem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -33,18 +37,49 @@ type page struct {
 	refs int32
 }
 
+// tableShift is log2 of a page table's entry count: 512 entries, the
+// shape of an x86-64 last-level table, so one table maps 2 MiB.
+const tableShift = 9
+
+// tableMask selects a page's entry within its table.
+const tableMask = 1<<tableShift - 1
+
+// table is one last-level page table: entry pn&tableMask of table
+// pn>>tableShift maps page pn; nil is not resident.
+type table [1 << tableShift]*page
+
+// denseTables bounds the directly indexed part of the directory: tables
+// below it (the low 2 GiB of address space, where every image section
+// lives) sit in a slice indexed by table number, at most 8 KiB of
+// pointers. Tables at or above it — a wild pointer's far page — are kept
+// sorted in a short list, so a page at 1<<40 costs one entry, not a
+// directory in proportion to its address.
+const denseTables = 1 << 10
+
+// farEntry is one directory entry above the dense range.
+type farEntry struct {
+	tn uint64 // table number, pn>>tableShift
+	t  *table
+}
+
 // Memory is a sparse, paged address space. The zero page (addresses below
 // PageSize) is never mapped; accesses to it fault, which is how the VM's
 // sanitizer turns NULL dereferences into reports.
 type Memory struct {
-	pages map[uint64]*page
+	// dir is the directory's dense part, indexed by table number and grown
+	// to the highest table touched below denseTables; far holds the tables
+	// above it in ascending order. A nil entry maps no page.
+	dir []*table
+	far []farEntry
+	// resident counts the mapped pages.
+	resident int
 	// limit is the maximum number of resident pages; exceeding it reports
 	// an out-of-memory condition instead of letting a runaway target eat
 	// the host.
 	limit int
 	// epoch counts page-table shape changes: a page mapped, privatized,
 	// re-shared, released or newly shared with a fork. A cached page
-	// translation (see lookup) is only valid while the epoch it was filled
+	// translation (see fill) is only valid while the epoch it was filled
 	// under still matches. Page CONTENT writes do not bump the epoch — a
 	// translation caches the frame, not the bytes.
 	epoch uint64
@@ -67,7 +102,7 @@ type Memory struct {
 	watchList []uint64
 
 	// tlb caches page translations for ReadUint, WriteUint, Zero and
-	// LoadByte (see lookup).
+	// LoadByte (see fill).
 	tlb tlb
 }
 
@@ -84,7 +119,7 @@ const DefaultPageLimit = 16384
 
 // NewMemory returns an empty address space with the default page limit.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page), limit: DefaultPageLimit}
+	return &Memory{limit: DefaultPageLimit}
 }
 
 // NewMemoryLimit returns an empty address space bounded to limit pages.
@@ -92,77 +127,167 @@ func NewMemoryLimit(limit int) *Memory {
 	if limit <= 0 {
 		limit = DefaultPageLimit
 	}
-	return &Memory{pages: make(map[uint64]*page), limit: limit}
+	return &Memory{limit: limit}
 }
 
 // Pages reports the number of resident pages (shared pages count once per
 // image that maps them, as in a real page table).
-func (m *Memory) Pages() int { return len(m.pages) }
+func (m *Memory) Pages() int { return m.resident }
+
+// table returns the page table covering table number tn, or nil.
+func (m *Memory) table(tn uint64) *table {
+	if tn < uint64(len(m.dir)) {
+		return m.dir[tn]
+	}
+	return m.farTable(tn)
+}
+
+// farTable is table's slow path, for tables past the dense directory.
+func (m *Memory) farTable(tn uint64) *table {
+	if i, ok := m.findFar(tn); ok {
+		return m.far[i].t
+	}
+	return nil
+}
+
+// findFar binary-searches the far list for table number tn.
+func (m *Memory) findFar(tn uint64) (int, bool) {
+	return slices.BinarySearchFunc(m.far, tn, func(f farEntry, tn uint64) int {
+		return cmp.Compare(f.tn, tn)
+	})
+}
+
+// newTable installs an empty page table for table number tn, which has
+// none yet.
+func (m *Memory) newTable(tn uint64) *table {
+	t := new(table)
+	if tn < denseTables {
+		if tn >= uint64(len(m.dir)) {
+			m.dir = append(m.dir, make([]*table, int(tn)+1-len(m.dir))...)
+		}
+		m.dir[tn] = t
+		return t
+	}
+	i, _ := m.findFar(tn)
+	m.far = slices.Insert(m.far, i, farEntry{tn: tn, t: t})
+	return t
+}
+
+// frame returns the page frame mapped at pn, or nil.
+func (m *Memory) frame(pn uint64) *page {
+	t := m.table(pn >> tableShift)
+	if t == nil {
+		return nil
+	}
+	return t[pn&tableMask]
+}
 
 // MappedPages returns the numbers of every resident page in ascending
-// order (image-equivalence checks; read each one with PageView).
+// order (image-equivalence checks; read each one with PageView). The
+// directory walk is already ascending: dense tables by index, then the
+// sorted far list.
 func (m *Memory) MappedPages() []uint64 {
-	out := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		out = append(out, pn)
-	}
-	slices.Sort(out)
+	out := make([]uint64, 0, m.resident)
+	m.eachTable(func(tn uint64, t *table) {
+		for i, pg := range t {
+			if pg != nil {
+				out = append(out, tn<<tableShift|uint64(i))
+			}
+		}
+	})
 	return out
 }
 
-// Fork produces a copy-on-write duplicate of the address space: the page
-// table is copied and every page becomes shared. This is the cost an AFL++
-// forkserver pays per test case; it is O(resident pages) regardless of how
-// little the test case will touch. The child has no watch window, whatever
-// the parent's: a caller that needs the write barrier re-arms it with Watch
-// (the ClosureX harness does so in harness.Fork).
-func (m *Memory) Fork() *Memory {
-	child := &Memory{pages: make(map[uint64]*page, len(m.pages)), limit: m.limit}
-	for pn, pg := range m.pages {
-		pg.refs++
-		child.pages[pn] = pg
+// eachTable calls fn on every page table in ascending table order.
+func (m *Memory) eachTable(fn func(tn uint64, t *table)) {
+	for tn, t := range m.dir {
+		if t != nil {
+			fn(uint64(tn), t)
+		}
 	}
+	for _, f := range m.far {
+		fn(f.tn, f.t)
+	}
+}
+
+// Fork produces a copy-on-write duplicate of the address space: every
+// populated page table is copied whole and every resident frame gains a
+// reference, so every page becomes shared. This is the cost an AFL++
+// forkserver pays per test case; it is O(resident pages) regardless of how
+// little the test case will touch. The child's tables come from one
+// allocation. The child has no watch window, whatever the parent's: a
+// caller that needs the write barrier re-arms it with Watch (the ClosureX
+// harness does so in harness.Fork).
+func (m *Memory) Fork() *Memory {
+	child := &Memory{resident: m.resident, limit: m.limit}
+	n := len(m.far)
+	for _, t := range m.dir {
+		if t != nil {
+			n++
+		}
+	}
+	slab := make([]table, n)
+	child.dir = make([]*table, len(m.dir))
+	m.eachTable(func(tn uint64, t *table) {
+		c := &slab[0]
+		slab = slab[1:]
+		*c = *t
+		for _, pg := range c {
+			if pg != nil {
+				pg.refs++
+			}
+		}
+		if tn < denseTables {
+			child.dir[tn] = c
+		} else {
+			child.far = append(child.far, farEntry{tn: tn, t: c})
+		}
+	})
 	// Every parent page just became shared: cached writable translations
 	// into them must die, or a cached write would bleed into the child.
 	m.epoch++
 	return child
 }
 
-// Release drops every page reference held by this image. A forked child
-// calls Release when the test case finishes, which is the analogue of
-// process tear-down.
+// Release drops every page reference held by this image in one walk of
+// its tables and unmaps everything. A forked child calls Release when the
+// test case finishes, which is the analogue of process tear-down.
 func (m *Memory) Release() {
-	for pn, pg := range m.pages {
-		pg.refs--
-		delete(m.pages, pn)
-	}
+	m.eachTable(func(_ uint64, t *table) {
+		for _, pg := range t {
+			if pg != nil {
+				pg.refs--
+			}
+		}
+	})
+	m.dir, m.far, m.resident = nil, nil, 0
 	m.epoch++
 }
 
-// mapPage returns the page for addr, allocating a private zeroed page on
-// first touch.
-func (m *Memory) mapPage(pn uint64) (*page, error) {
-	if pg, ok := m.pages[pn]; ok {
-		return pg, nil
-	}
-	if len(m.pages) >= m.limit {
-		return nil, ErrNoMemory
-	}
-	pg := &page{refs: 1}
-	m.pages[pn] = pg
-	m.epoch++
-	if m.trackDirty {
-		m.dirty = append(m.dirty, pn)
-	}
-	return pg, nil
-}
-
-// writablePage returns a page that is private to this image, performing the
-// copy-on-write duplication if the page is shared.
+// writablePage returns the page at pn private to this image: a fresh
+// zeroed page on first touch, or a copy-on-write duplicate when the page
+// is shared.
 func (m *Memory) writablePage(pn uint64) (*page, error) {
-	pg, err := m.mapPage(pn)
-	if err != nil {
-		return nil, err
+	tn, i := pn>>tableShift, pn&tableMask
+	t := m.table(tn)
+	var pg *page
+	if t != nil {
+		pg = t[i]
+	}
+	if pg == nil {
+		if m.resident >= m.limit {
+			return nil, ErrNoMemory
+		}
+		if t == nil {
+			t = m.newTable(tn)
+		}
+		pg = &page{refs: 1}
+		t[i] = pg
+		m.resident++
+		m.epoch++
+		if m.trackDirty {
+			m.dirty = append(m.dirty, pn)
+		}
 	}
 	if m.watchBits != nil {
 		m.markWatched(pn)
@@ -171,7 +296,7 @@ func (m *Memory) writablePage(pn uint64) (*page, error) {
 		dup := &page{refs: 1}
 		dup.data = pg.data
 		pg.refs--
-		m.pages[pn] = dup
+		t[i] = dup
 		m.epoch++
 		if m.trackDirty {
 			m.dirty = append(m.dirty, pn)
@@ -251,17 +376,21 @@ func (m *Memory) DirtyPages() int { return len(m.dirty) }
 // ClosureX's byte-granular restoration.
 func (m *Memory) RestoreTo(parent *Memory) {
 	for _, pn := range m.dirty {
-		pg := m.pages[pn]
-		tp := parent.pages[pn]
+		t := m.table(pn >> tableShift)
+		if t == nil {
+			continue // released since it was dirtied
+		}
+		pg := t[pn&tableMask]
+		tp := parent.frame(pn)
 		if pg == nil || pg == tp {
 			continue // duplicate dirty entry already handled
 		}
 		pg.refs--
+		t[pn&tableMask] = tp
 		if tp != nil {
 			tp.refs++
-			m.pages[pn] = tp
 		} else {
-			delete(m.pages, pn)
+			m.resident--
 		}
 	}
 	m.dirty = m.dirty[:0]
@@ -295,18 +424,21 @@ type tlb struct {
 	e     [tlbSize]tlbEntry
 }
 
-// lookup returns the cached translation of page pn for reading, filling
-// the slot on a miss. A nil data means the page is unmapped (demand-zero).
-func (m *Memory) lookup(pn uint64) *tlbEntry {
+// fill is a read's translation-cache miss: it walks the page table for
+// pn and caches the translation in its slot. A nil data means the page
+// is unmapped (demand-zero). Readers test for a hit in line —
+//
+//	e := &m.tlb.e[pn&(tlbSize-1)]
+//	if e.tag != pn+1 || m.tlb.epoch != m.epoch { e = m.fill(pn) }
+//
+// — because a helper that also calls fill is too large to inline.
+func (m *Memory) fill(pn uint64) *tlbEntry {
 	e := &m.tlb.e[pn&(tlbSize-1)]
-	if e.tag == pn+1 && m.tlb.epoch == m.epoch {
-		return e
-	}
 	if m.tlb.epoch != m.epoch {
 		m.tlb = tlb{epoch: m.epoch}
 	}
 	e.tag, e.data, e.w = pn+1, nil, false
-	if pg := m.pages[pn]; pg != nil {
+	if pg := m.frame(pn); pg != nil {
 		e.data, e.w = &pg.data, pg.refs == 1
 	}
 	return e
@@ -314,7 +446,7 @@ func (m *Memory) lookup(pn uint64) *tlbEntry {
 
 // lookupW returns page pn's frame for writing: private to this image and
 // recorded against the watch window, exactly as writablePage would leave
-// it. A hit skips the page-table map; a miss maps or privatizes the page
+// it. A hit skips the page-table walk; a miss maps or privatizes the page
 // (which may advance the epoch) and caches the writable translation.
 func (m *Memory) lookupW(pn uint64) (*[PageSize]byte, error) {
 	e := &m.tlb.e[pn&(tlbSize-1)]
@@ -351,11 +483,15 @@ func (m *Memory) LoadByte(addr uint64) (byte, error) {
 	if addr < PageSize {
 		return 0, ErrNullPage
 	}
-	d := m.lookup(addr >> PageShift).data
-	if d == nil {
+	pn := addr >> PageShift
+	e := &m.tlb.e[pn&(tlbSize-1)]
+	if e.tag != pn+1 || m.tlb.epoch != m.epoch {
+		e = m.fill(pn)
+	}
+	if e.data == nil {
 		return 0, nil
 	}
-	return d[addr&(PageSize-1)], nil
+	return e.data[addr&(PageSize-1)], nil
 }
 
 // PageView returns a read-only view of the mapped page pn, or nil when
@@ -363,7 +499,7 @@ func (m *Memory) LoadByte(addr uint64) (byte, error) {
 // page storage: callers must not write through it and must not hold it
 // across any operation that could remap pages.
 func (m *Memory) PageView(pn uint64) []byte {
-	if pg, ok := m.pages[pn]; ok {
+	if pg := m.frame(pn); pg != nil {
 		return pg.data[:]
 	}
 	return nil
@@ -405,12 +541,10 @@ func (m *Memory) ReadInto(addr uint64, dst []byte) error {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if pg, ok := m.pages[addr>>PageShift]; ok {
+		if pg := m.frame(addr >> PageShift); pg != nil {
 			copy(dst[:n], pg.data[off:off+uint64(n)])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		addr += uint64(n)
@@ -448,11 +582,15 @@ func (m *Memory) ReadUint(addr uint64, size int) (uint64, error) {
 	// Fast path: the value sits within one page.
 	off := addr & (PageSize - 1)
 	if int(off)+size <= PageSize {
-		d := m.lookup(addr >> PageShift).data
-		if d == nil {
+		pn := addr >> PageShift
+		e := &m.tlb.e[pn&(tlbSize-1)]
+		if e.tag != pn+1 || m.tlb.epoch != m.epoch {
+			e = m.fill(pn)
+		}
+		if e.data == nil {
 			return 0, nil
 		}
-		b := d[off:]
+		b := e.data[off:]
 		switch size {
 		case 1:
 			return uint64(b[0]), nil
@@ -542,7 +680,7 @@ func (m *Memory) Zero(addr uint64, n int) error {
 			cn = n
 		}
 		pn := addr >> PageShift
-		if pg, ok := m.pages[pn]; ok {
+		if pg := m.frame(pn); pg != nil {
 			if off == 0 && cn == PageSize && pg.refs == 1 {
 				if m.watchBits != nil {
 					m.markWatched(pn)
@@ -553,9 +691,7 @@ func (m *Memory) Zero(addr uint64, n int) error {
 				if err != nil {
 					return err
 				}
-				for i := uint64(0); i < uint64(cn); i++ {
-					wp.data[off+i] = 0
-				}
+				clear(wp.data[off : off+uint64(cn)])
 			}
 		}
 		n -= cn

@@ -146,8 +146,9 @@ func TestForkSharesUntouchedPages(t *testing.T) {
 	child := parent.Fork()
 	defer child.Release()
 	// Before any child write, every page is shared: same backing objects.
-	for pn, pg := range parent.pages {
-		if child.pages[pn] != pg {
+	for _, pn := range parent.MappedPages() {
+		pg := parent.frame(pn)
+		if child.frame(pn) != pg {
 			t.Fatalf("page %#x not shared after fork", pn)
 		}
 		if pg.refs != 2 {
@@ -159,8 +160,8 @@ func TestForkSharesUntouchedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	priv := 0
-	for pn, pg := range child.pages {
-		if parent.pages[pn] != pg {
+	for _, pn := range child.MappedPages() {
+		if parent.frame(pn) != child.frame(pn) {
 			priv++
 		}
 	}

@@ -4,10 +4,10 @@ package mem
 // byte describes each 8-byte granule of application memory. The plane is
 // sparse — shadow pages materialize on first poison/unpoison — because the
 // fresh-process mechanism and the divergence sentinel build a whole VM per
-// execution and must not pay for a flat shadow up front. Only the page
-// index, one pointer per shadow page of the span (8 KiB for the 32 MiB
-// heap), is allocated up front. An absent shadow page means "never
-// allocated", which reads back as ShadowUnallocated.
+// execution and must not pay for a flat shadow up front. Even the page
+// index grows only to the highest shadow page touched, so a plane costs
+// in proportion to the heap in use, not to the span. An absent shadow
+// page means "never allocated", which reads back as ShadowUnallocated.
 //
 // Encoding (per shadow byte):
 //
@@ -22,9 +22,9 @@ type Shadow struct {
 
 	// pages indexes the materialized shadow pages by shadow-page number,
 	// ((addr-base)>>ShadowScale)>>PageShift, so one shadow page covers
-	// PageSize<<ShadowScale (32 KiB) of heap; nil means absent. The slice
-	// has one entry per page of the span plus one (1,025 for a 32 MiB
-	// heap), so a lookup is a slice load rather than a map hash.
+	// PageSize<<ShadowScale (32 KiB) of heap; nil, or an index past the
+	// slice, means absent. page() grows the slice to the highest page
+	// touched, so a lookup is a slice load rather than a map hash.
 	pages []*shadowPage
 
 	// spare holds pages RestoreDirty unlinked because the snapshot lacked
@@ -37,6 +37,7 @@ type Shadow struct {
 	// Dirty tracking for the harness: mirrors the Memory watch machinery.
 	// When armed, the first mutation of each shadow page records it in
 	// watchList so restore touches only pages the iteration changed.
+	// watchBits has a bit for every slot of pages and grows with it.
 	watchBits []uint64
 	watchList []uint64
 }
@@ -69,12 +70,9 @@ const ShadowScale = 3
 // ShadowGranule is the granule size in bytes.
 const ShadowGranule = 1 << ShadowScale
 
-// NewShadow creates a shadow plane over the heap span [base, end). The page
-// index has a slot per shadow page of the span plus one, so an access
-// straddling the span's last granule still indexes.
+// NewShadow creates an empty shadow plane over the heap span [base, end).
 func NewShadow(base, end uint64) *Shadow {
-	npages := ((end - base) >> ShadowScale >> PageShift) + 1
-	return &Shadow{base: base, end: end, pages: make([]*shadowPage, npages)}
+	return &Shadow{base: base, end: end}
 }
 
 // Covers reports whether addr falls inside the shadowed span.
@@ -91,6 +89,9 @@ func (s *Shadow) locate(addr uint64) (uint64, int) {
 // restore) on first write. Marks the page dirty when watched, so every
 // watched page is materialized.
 func (s *Shadow) page(pn uint64) *shadowPage {
+	if pn >= uint64(len(s.pages)) {
+		s.grow(int(pn) + 1)
+	}
 	if s.watchBits != nil {
 		s.markWatched(pn)
 	}
@@ -108,16 +109,34 @@ func (s *Shadow) page(pn uint64) *shadowPage {
 	return pg
 }
 
+// grow extends the page index, and an armed watch bitmap with it, to n
+// slots.
+func (s *Shadow) grow(n int) {
+	s.pages = append(s.pages, make([]*shadowPage, n-len(s.pages))...)
+	if s.watchBits != nil {
+		if w := (n + 63) / 64; w > len(s.watchBits) {
+			s.watchBits = append(s.watchBits, make([]uint64, w-len(s.watchBits))...)
+		}
+	}
+}
+
 // shadowByte reads the shadow byte for the granule containing addr; a
 // granule past the indexed span reads as unallocated, like an absent page.
 func (s *Shadow) shadowByte(addr uint64) byte {
 	pn, off := s.locate(addr)
-	if pn < uint64(len(s.pages)) {
-		if pg := s.pages[pn]; pg != nil {
-			return pg.data[off]
-		}
+	if pg := pageAt(s.pages, pn); pg != nil {
+		return pg.data[off]
 	}
 	return ShadowUnallocated
+}
+
+// pageAt returns page pn of an index, or nil when it is absent or past
+// the index's end.
+func pageAt(pages []*shadowPage, pn uint64) *shadowPage {
+	if pn < uint64(len(pages)) {
+		return pages[pn]
+	}
+	return nil
 }
 
 // set writes shadow bytes for n consecutive granules starting at the
@@ -205,7 +224,7 @@ func (s *Shadow) Check(addr uint64, n int) (byte, bool) {
 // An armed dirty-tracking window carries over, same size and empty, so a
 // forked harness image keeps rolling back the shadow pages it mutates.
 func (s *Shadow) Clone() *Shadow {
-	ns := NewShadow(s.base, s.end)
+	ns := &Shadow{base: s.base, end: s.end, pages: make([]*shadowPage, len(s.pages))}
 	copyPages(ns.pages, s.pages)
 	if s.watchBits != nil {
 		ns.watchBits = make([]uint64, len(s.watchBits))
@@ -228,7 +247,8 @@ func copyPages(dst, src []*shadowPage) {
 
 // ShadowSnapshot is a point-in-time deep copy of the shadow plane,
 // captured by the harness after deferred initialization. Its pages slice
-// is indexed like the live plane's.
+// is indexed like the live plane's; the live plane may since have grown
+// past it, and a page past it is absent.
 type ShadowSnapshot struct {
 	pages []*shadowPage
 }
@@ -245,9 +265,6 @@ func (s *Shadow) Snapshot() *ShadowSnapshot {
 
 func (s *Shadow) markWatched(pn uint64) {
 	w, b := pn/64, pn%64
-	if int(w) >= len(s.watchBits) {
-		return
-	}
 	if s.watchBits[w]&(1<<b) == 0 {
 		s.watchBits[w] |= 1 << b
 		s.watchList = append(s.watchList, pn)
@@ -266,7 +283,7 @@ func (s *Shadow) DirtyPages() int { return len(s.watchList) }
 func (s *Shadow) RestoreDirty(snap *ShadowSnapshot) int {
 	for _, pn := range s.watchList {
 		pg := s.pages[pn] // watched, so materialized
-		if orig := snap.pages[pn]; orig != nil {
+		if orig := pageAt(snap.pages, pn); orig != nil {
 			pg.data = orig.data
 		} else {
 			s.pages[pn] = nil
@@ -281,10 +298,7 @@ func (s *Shadow) RestoreDirty(snap *ShadowSnapshot) int {
 // ResetWatch clears the dirty set without restoring anything.
 func (s *Shadow) ResetWatch() {
 	for _, pn := range s.watchList {
-		w, b := pn/64, pn%64
-		if int(w) < len(s.watchBits) {
-			s.watchBits[w] &^= 1 << b
-		}
+		s.watchBits[pn/64] &^= 1 << (pn % 64)
 	}
 	s.watchList = s.watchList[:0]
 }
@@ -293,8 +307,8 @@ func (s *Shadow) ResetWatch() {
 // watchdog's invariant check. Pages absent on either side compare equal
 // only if the other side is entirely ShadowUnallocated.
 func (s *Shadow) Equal(snap *ShadowSnapshot) bool {
-	for pn, pg := range s.pages {
-		if !shadowPagesEqual(pg, snap.pages[pn]) {
+	for pn := range uint64(max(len(s.pages), len(snap.pages))) {
+		if !shadowPagesEqual(pageAt(s.pages, pn), pageAt(snap.pages, pn)) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 
 	"closurex/internal/ir"
@@ -190,5 +191,29 @@ func TestImagePagesMaterialized(t *testing.T) {
 	v1, _ := New(m, Options{ImagePages: 64})
 	if v1.Mem.Pages() < v0.Mem.Pages()+64 {
 		t.Fatalf("image pages not resident: %d vs %d", v1.Mem.Pages(), v0.Mem.Pages())
+	}
+}
+
+// BenchmarkImageFork times the forkserver's per-test-case step on an
+// image-shaped VM: vm.Fork, then Release, of an image with md4c's 1,600
+// resident ImagePages and of one with half as many. A fork copies the
+// page table and takes a reference on every resident frame, so the cost
+// should scale with the page count.
+func BenchmarkImageFork(b *testing.B) {
+	fb := ir.NewBuilder("f", 0)
+	fb.Ret(-1)
+	m := buildModule(b, nil, fb.F)
+	for _, pages := range []int{800, 1600} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			v, err := New(m, Options{ImagePages: pages})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Fork().Release()
+			}
+		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // buildModule wraps fns into a verified module.
-func buildModule(t *testing.T, globals []*ir.Global, fns ...*ir.Func) *ir.Module {
+func buildModule(t testing.TB, globals []*ir.Global, fns ...*ir.Func) *ir.Module {
 	t.Helper()
 	m := ir.NewModule("test")
 	for _, g := range globals {
