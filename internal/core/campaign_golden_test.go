@@ -18,7 +18,7 @@ import (
 // registered target, in every instrumentation mode the fuzzer ships, must
 // keep producing the same coverage map, the same corpus in the same order
 // and the same crash and hang buckets. Any change to the VM's execution
-// fast paths (page-translation cache, coverage binding, branch dispatch)
+// fast paths (in-line page walk, coverage binding, branch dispatch)
 // that altered a single observable would move one of the digests below.
 
 const (

@@ -29,7 +29,6 @@ type Heap struct {
 	quarantine     []Chunk
 	quarantineCap  int
 	bytesAllocated uint64 // live bytes (for the memory-usage audit, §6.1.4)
-	epoch          uint64 // bumped on Reset; stale chunk handles become invalid
 
 	// inj, when armed, fails allocations on demand so tests can drive the
 	// target's (and the harness's) OOM paths deterministically. Nil in
@@ -212,9 +211,6 @@ func (h *Heap) Brk() uint64 { return h.brk }
 
 // LiveBytes returns the number of live allocated bytes.
 func (h *Heap) LiveBytes() uint64 { return h.bytesAllocated }
-
-// Epoch identifies the current heap generation; it changes on Reset.
-func (h *Heap) Epoch() uint64 { return h.epoch }
 
 // findChunk returns the index of the live chunk containing addr, or -1.
 func (h *Heap) findChunk(addr uint64) int {
@@ -455,7 +451,6 @@ func (h *Heap) Reset() {
 	h.quarantine = h.quarantine[:0]
 	h.brk = h.base
 	h.bytesAllocated = 0
-	h.epoch++
 	if h.shadow != nil {
 		h.shadow = NewShadow(h.shadow.base, h.shadow.end)
 	}
@@ -471,7 +466,6 @@ func (h *Heap) Clone(m *Memory) *Heap {
 		brk:            h.brk,
 		quarantineCap:  h.quarantineCap,
 		bytesAllocated: h.bytesAllocated,
-		epoch:          h.epoch,
 		inj:            h.inj,
 	}
 	nh.chunks = append([]Chunk(nil), h.chunks...)

@@ -12,7 +12,10 @@
 // themselves. The page table has the shape of a hardware one: a directory
 // of 512-entry tables whose entries point at reference-counted page
 // frames, so a fork copies each populated table and takes one reference
-// per resident frame, as a kernel's fork does.
+// per resident frame, as a kernel's fork does. Every access translates
+// through that table, as a hardware walk would: a read walks the dense
+// directory in line, and a write goes through writablePage, which
+// privatizes a shared frame first.
 package mem
 
 import (
@@ -77,12 +80,6 @@ type Memory struct {
 	// an out-of-memory condition instead of letting a runaway target eat
 	// the host.
 	limit int
-	// epoch counts page-table shape changes: a page mapped, privatized,
-	// re-shared, released or newly shared with a fork. A cached page
-	// translation (see fill) is only valid while the epoch it was filled
-	// under still matches. Page CONTENT writes do not bump the epoch — a
-	// translation caches the frame, not the bytes.
-	epoch uint64
 	// trackDirty records every page privatized or newly mapped since the
 	// last RestoreTo — the write-protection bookkeeping a kernel snapshot
 	// module (AFL++ Snapshot LKM) maintains.
@@ -100,10 +97,6 @@ type Memory struct {
 	watchHi   uint64
 	watchBits []uint64
 	watchList []uint64
-
-	// tlb caches page translations for ReadUint, WriteUint, Zero and
-	// LoadByte (see fill).
-	tlb tlb
 }
 
 // Common memory errors. The VM wraps these into sanitizer faults with
@@ -142,7 +135,10 @@ func (m *Memory) table(tn uint64) *table {
 	return m.farTable(tn)
 }
 
-// farTable is table's slow path, for tables past the dense directory.
+// farTable is table's slow path, for tables past the dense directory. It
+// stays out of line so that table inlines into its callers.
+//
+//go:noinline
 func (m *Memory) farTable(tn uint64) *table {
 	if i, ok := m.findFar(tn); ok {
 		return m.far[i].t
@@ -173,7 +169,10 @@ func (m *Memory) newTable(tn uint64) *table {
 	return t
 }
 
-// frame returns the page frame mapped at pn, or nil.
+// frame returns the page frame mapped at pn, or nil. ReadUint and LoadByte,
+// the interpreter's loads, walk the dense directory in line instead and
+// call frame only past it: frame is too large to inline, and a call on
+// every load costs the persistent campaign about 4%.
 func (m *Memory) frame(pn uint64) *page {
 	t := m.table(pn >> tableShift)
 	if t == nil {
@@ -243,9 +242,6 @@ func (m *Memory) Fork() *Memory {
 			child.far = append(child.far, farEntry{tn: tn, t: c})
 		}
 	})
-	// Every parent page just became shared: cached writable translations
-	// into them must die, or a cached write would bleed into the child.
-	m.epoch++
 	return child
 }
 
@@ -261,7 +257,6 @@ func (m *Memory) Release() {
 		}
 	})
 	m.dir, m.far, m.resident = nil, nil, 0
-	m.epoch++
 }
 
 // writablePage returns the page at pn private to this image: a fresh
@@ -284,7 +279,6 @@ func (m *Memory) writablePage(pn uint64) (*page, error) {
 		pg = &page{refs: 1}
 		t[i] = pg
 		m.resident++
-		m.epoch++
 		if m.trackDirty {
 			m.dirty = append(m.dirty, pn)
 		}
@@ -297,7 +291,6 @@ func (m *Memory) writablePage(pn uint64) (*page, error) {
 		dup.data = pg.data
 		pg.refs--
 		t[i] = dup
-		m.epoch++
 		if m.trackDirty {
 			m.dirty = append(m.dirty, pn)
 		}
@@ -394,77 +387,6 @@ func (m *Memory) RestoreTo(parent *Memory) {
 		}
 	}
 	m.dirty = m.dirty[:0]
-	// Both page tables changed shape: ours re-shared/unmapped pages, and
-	// the parent's previously-private pages may now be shared again.
-	m.epoch++
-	parent.epoch++
-}
-
-// ---- page-translation cache ----
-
-// tlbSize is the entry count of the direct-mapped translation cache (64
-// entries cover 256 KiB of working set at 4 KiB pages).
-const tlbSize = 1 << 6
-
-// tlbEntry caches one page translation. tag is pn+1 (0 = empty). data
-// points at the page frame, or is nil for a cached "unmapped" verdict
-// (demand-zero reads); w marks the frame private and safe to write
-// through.
-type tlbEntry struct {
-	tag  uint64
-	data *[PageSize]byte
-	w    bool
-}
-
-// tlb is a Memory's translation cache. Its entries are meaningful only
-// while epoch equals the Memory's epoch: any page-table shape change
-// invalidates them all at once. The zero value is ready to use.
-type tlb struct {
-	epoch uint64
-	e     [tlbSize]tlbEntry
-}
-
-// fill is a read's translation-cache miss: it walks the page table for
-// pn and caches the translation in its slot. A nil data means the page
-// is unmapped (demand-zero). Readers test for a hit in line —
-//
-//	e := &m.tlb.e[pn&(tlbSize-1)]
-//	if e.tag != pn+1 || m.tlb.epoch != m.epoch { e = m.fill(pn) }
-//
-// — because a helper that also calls fill is too large to inline.
-func (m *Memory) fill(pn uint64) *tlbEntry {
-	e := &m.tlb.e[pn&(tlbSize-1)]
-	if m.tlb.epoch != m.epoch {
-		m.tlb = tlb{epoch: m.epoch}
-	}
-	e.tag, e.data, e.w = pn+1, nil, false
-	if pg := m.frame(pn); pg != nil {
-		e.data, e.w = &pg.data, pg.refs == 1
-	}
-	return e
-}
-
-// lookupW returns page pn's frame for writing: private to this image and
-// recorded against the watch window, exactly as writablePage would leave
-// it. A hit skips the page-table walk; a miss maps or privatizes the page
-// (which may advance the epoch) and caches the writable translation.
-func (m *Memory) lookupW(pn uint64) (*[PageSize]byte, error) {
-	e := &m.tlb.e[pn&(tlbSize-1)]
-	if e.tag == pn+1 && e.w && m.tlb.epoch == m.epoch {
-		if m.watchBits != nil {
-			m.markWatched(pn)
-		}
-		return e.data, nil
-	}
-	pg, err := m.writablePage(pn)
-	if err != nil {
-		return nil, err
-	}
-	if m.tlb.epoch != m.epoch {
-		m.tlb = tlb{epoch: m.epoch}
-	}
-	e.tag, e.data, e.w = pn+1, &pg.data, true
-	return e.data, nil
 }
 
 func checkAddr(addr uint64, n int) error {
@@ -483,15 +405,18 @@ func (m *Memory) LoadByte(addr uint64) (byte, error) {
 	if addr < PageSize {
 		return 0, ErrNullPage
 	}
-	pn := addr >> PageShift
-	e := &m.tlb.e[pn&(tlbSize-1)]
-	if e.tag != pn+1 || m.tlb.epoch != m.epoch {
-		e = m.fill(pn)
+	var pg *page
+	if pn, tn := addr>>PageShift, addr>>(PageShift+tableShift); tn < uint64(len(m.dir)) {
+		if t := m.dir[tn]; t != nil {
+			pg = t[pn&tableMask]
+		}
+	} else {
+		pg = m.frame(pn)
 	}
-	if e.data == nil {
+	if pg == nil {
 		return 0, nil
 	}
-	return e.data[addr&(PageSize-1)], nil
+	return pg.data[addr&(PageSize-1)], nil
 }
 
 // PageView returns a read-only view of the mapped page pn, or nil when
@@ -582,15 +507,18 @@ func (m *Memory) ReadUint(addr uint64, size int) (uint64, error) {
 	// Fast path: the value sits within one page.
 	off := addr & (PageSize - 1)
 	if int(off)+size <= PageSize {
-		pn := addr >> PageShift
-		e := &m.tlb.e[pn&(tlbSize-1)]
-		if e.tag != pn+1 || m.tlb.epoch != m.epoch {
-			e = m.fill(pn)
+		var pg *page // the walk in line, as in LoadByte
+		if pn, tn := addr>>PageShift, addr>>(PageShift+tableShift); tn < uint64(len(m.dir)) {
+			if t := m.dir[tn]; t != nil {
+				pg = t[pn&tableMask]
+			}
+		} else {
+			pg = m.frame(pn)
 		}
-		if e.data == nil {
+		if pg == nil {
 			return 0, nil
 		}
-		b := e.data[off:]
+		b := pg.data[off:]
 		switch size {
 		case 1:
 			return uint64(b[0]), nil
@@ -621,11 +549,11 @@ func (m *Memory) WriteUint(addr uint64, v uint64, size int) error {
 	}
 	off := addr & (PageSize - 1)
 	if int(off)+size <= PageSize {
-		d, err := m.lookupW(addr >> PageShift)
+		pg, err := m.writablePage(addr >> PageShift)
 		if err != nil {
 			return err
 		}
-		b := d[off:]
+		b := pg.data[off:]
 		switch size {
 		case 1:
 			b[0] = byte(v)
@@ -649,29 +577,11 @@ func (m *Memory) WriteUint(addr uint64, v uint64, size int) error {
 	return m.Write(addr, buf[:size])
 }
 
-// Zero clears n bytes starting at addr. Pages that are entirely covered and
-// not yet mapped are left unmapped (they already read as zero).
+// Zero clears n bytes starting at addr. Pages not yet mapped are left
+// unmapped (they already read as zero).
 func (m *Memory) Zero(addr uint64, n int) error {
 	if err := checkAddr(addr, n); err != nil {
 		return err
-	}
-	// Fast path: a range inside one page whose translation is cached
-	// (the VM's frame scrub on every call).
-	if off := addr & (PageSize - 1); n > 0 && int(off)+n <= PageSize {
-		pn := addr >> PageShift
-		e := &m.tlb.e[pn&(tlbSize-1)]
-		if e.tag == pn+1 && m.tlb.epoch == m.epoch {
-			if e.data == nil {
-				return nil // unmapped already reads as zero
-			}
-			if e.w {
-				if m.watchBits != nil {
-					m.markWatched(pn)
-				}
-				clear(e.data[off : off+uint64(n)])
-				return nil
-			}
-		}
 	}
 	for n > 0 {
 		off := addr & (PageSize - 1)
@@ -681,18 +591,15 @@ func (m *Memory) Zero(addr uint64, n int) error {
 		}
 		pn := addr >> PageShift
 		if pg := m.frame(pn); pg != nil {
-			if off == 0 && cn == PageSize && pg.refs == 1 {
-				if m.watchBits != nil {
-					m.markWatched(pn)
-				}
-				pg.data = [PageSize]byte{}
-			} else {
-				wp, err := m.writablePage(pn)
-				if err != nil {
+			if pg.refs > 1 {
+				var err error
+				if pg, err = m.writablePage(pn); err != nil {
 					return err
 				}
-				clear(wp.data[off : off+uint64(cn)])
+			} else if m.watchBits != nil {
+				m.markWatched(pn)
 			}
+			clear(pg.data[off : off+uint64(cn)])
 		}
 		n -= cn
 		addr += uint64(cn)

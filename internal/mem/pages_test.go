@@ -313,6 +313,43 @@ func BenchmarkForkRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkMemoryAccess times the interpreter's memory traffic on its own:
+// word reads and writes plus a frame scrub over a small working set (two
+// globals pages under a watch window, two heap pages, a stack page and a
+// never-written page that reads as zero), shaped like one ClosureX
+// iteration of a small target. It uses only the exported API.
+func BenchmarkMemoryAccess(b *testing.B) {
+	const (
+		globals = 0x0001_0000
+		heap    = 0x0400_0000
+		stack   = 0x0800_0000
+		accs    = 64 // word accesses per iteration
+	)
+	m := NewMemory()
+	m.Watch(globals, 2*PageSize)
+	addrs := [...]uint64{globals + 8, globals + PageSize + 16, heap + 64, heap + PageSize + 128, stack + 256}
+	for _, a := range addrs {
+		if err := m.WriteUint(a, 1, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const absent = heap + 8*PageSize
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < accs; j++ {
+			a := addrs[j%len(addrs)] + uint64(j&7)*8
+			v, _ := m.ReadUint(a, 8)
+			_ = m.WriteUint(a, v+1, 8)
+			z, _ := m.ReadUint(absent+uint64(j)*4, 4)
+			_ = m.WriteUint(a+4, z, 4)
+		}
+		_ = m.Zero(stack+256, 128)
+		m.ResetWatch()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accs*4), "ns/access")
+}
+
 // pagesOf is a test helper returning WatchedDirty as a plain slice copy.
 func pagesOf(m *Memory) []uint64 {
 	return append([]uint64(nil), m.WatchedDirty()...)

@@ -111,7 +111,6 @@ func exactMWU(a, b []float64) float64 {
 	n := n1 + n2
 	idx := make([]int, n1)
 	// Enumerate all C(n, n1) choices of which observations form group A.
-	var rec func(start, k int)
 	groupA := make([]float64, n1)
 	groupB := make([]float64, 0, n2)
 	inA := make([]bool, n)
@@ -140,7 +139,6 @@ func exactMWU(a, b []float64) float64 {
 			inA[i] = false
 		}
 	}
-	_ = rec
 	enumerate(0, 0)
 	return float64(extreme) / float64(total)
 }
