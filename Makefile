@@ -132,15 +132,18 @@ fuzz:
 # (every target's seeds through its ClosureX mechanism, no mutation and no
 # bitmap update; ns/op and ns/instr), the coverage-map update, the
 # interpreter's memory accesses (word reads, writes and a frame scrub over
-# a small working set; ns/access) and the forkserver's fork+release (a
-# 1,024-page Memory, and VM images of 800 and 1,600 pages), so all of them
-# keep building and running. Compare a layer across changes with a longer
-# -benchtime.
+# a small working set; ns/access), the forkserver's fork+release (a
+# 1,024-page Memory, and VM images of 800 and 1,600 pages), and the two
+# mechanism steps built on fork (a forkserver exec, fork to release, and
+# a ClosureX exec that crashes and respawns, both on a 1,600-page image),
+# so all of them keep building and running. Compare a layer across
+# changes with a longer -benchtime.
 layerbench:
 	$(GO) test -run '^$$' -bench InterpreterSeeds -benchtime 200x ./internal/core/
 	$(GO) test -run '^$$' -bench BitmapUpdate -benchtime 200x ./internal/fuzz/
 	$(GO) test -run '^$$' -bench 'ForkRelease|MemoryAccess' -benchtime 200x ./internal/mem/
 	$(GO) test -run '^$$' -bench ImageFork -benchtime 200x ./internal/vm/
+	$(GO) test -run '^$$' -bench 'ForkServerExecute|ClosureXRespawn' -benchtime 200x ./internal/execmgr/
 
 check: vet test race faultcheck lint sanitize interproc harness-audit chaos synth fuzz layerbench benchjson
 

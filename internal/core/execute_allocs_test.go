@@ -45,6 +45,40 @@ func TestExecuteAllocs(t *testing.T) {
 	}
 }
 
+// forkServerExecuteAllocs pins the steady-state heap allocations of one
+// forkserver Execute, fork to release, as AllocsPerRun reports them: the
+// same on every target. Frames, page tables, the directory, register
+// frames, buffers and the heap's chunk lists are recycled from the
+// children before (see vm.VM.Fork); what is left is the child's VM,
+// Memory and Heap headers and nine in the virtual filesystem (its clone,
+// installing the input, and the target's open and close of it). Every
+// target read 12 when this was pinned, against 32 to 52 before recycling.
+const forkServerExecuteAllocs = 12
+
+// TestForkServerExecuteAllocs measures testing.AllocsPerRun of one
+// forkserver Execute per target, on the target's full image, after a
+// warm-up that fills the free lists, and requires exactly the pinned
+// count.
+func TestForkServerExecuteAllocs(t *testing.T) {
+	for _, tg := range targets.All() {
+		t.Run(tg.Short, func(t *testing.T) {
+			in, err := NewInstance(tg, "forkserver", InstanceOptions{TrialSeed: 1, DeterministicRand: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			input := tg.Seeds()[0]
+			for i := 0; i < 10; i++ {
+				in.Mech.Execute(input)
+			}
+			got := testing.AllocsPerRun(50, func() { in.Mech.Execute(input) })
+			if got != forkServerExecuteAllocs {
+				t.Errorf("%s: %v allocations per forkserver Execute, want %v", tg.Name, got, forkServerExecuteAllocs)
+			}
+		})
+	}
+}
+
 // BenchmarkInterpreterSeeds replays each target's seeds through its
 // ClosureX mechanism: no mutation and no bitmap update, so it times the
 // VM and the restore alone. One op runs every seed once; ns/instr divides

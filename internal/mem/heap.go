@@ -48,6 +48,17 @@ type Heap struct {
 	siteFn    string
 	siteLine  int32
 	siteElide bool
+
+	// spare is shared by a heap and every clone of it: the chunk and
+	// quarantine storage the last released clone gave back, for the next
+	// Clone to append into. Nil until the first Clone. Like Memory's free
+	// list it is not locked.
+	spare *heapSpare
+}
+
+// heapSpare is the bookkeeping storage a released heap hands on.
+type heapSpare struct {
+	chunks, quarantine []Chunk
 }
 
 // Chunk describes one live heap allocation.
@@ -458,7 +469,13 @@ func (h *Heap) Reset() {
 
 // Clone duplicates the allocator bookkeeping for use over a forked Memory.
 // The page contents themselves are shared copy-on-write by Memory.Fork.
+// The clone's chunk and quarantine slices reuse the storage the last
+// released clone of h gave back.
 func (h *Heap) Clone(m *Memory) *Heap {
+	if h.spare == nil {
+		h.spare = new(heapSpare)
+	}
+	sp := h.spare
 	nh := &Heap{
 		mem:            m,
 		base:           h.base,
@@ -467,11 +484,24 @@ func (h *Heap) Clone(m *Memory) *Heap {
 		quarantineCap:  h.quarantineCap,
 		bytesAllocated: h.bytesAllocated,
 		inj:            h.inj,
+		spare:          sp,
 	}
-	nh.chunks = append([]Chunk(nil), h.chunks...)
-	nh.quarantine = append([]Chunk(nil), h.quarantine...)
+	nh.chunks = append(sp.chunks[:0], h.chunks...)
+	nh.quarantine = append(sp.quarantine[:0], h.quarantine...)
+	*sp = heapSpare{}
 	if h.shadow != nil {
 		nh.shadow = h.shadow.Clone()
 	}
 	return nh
+}
+
+// Release ends the heap's life with its image's (process tear-down): its
+// chunk and quarantine storage goes to the next Clone of the heap it was
+// cloned from, and the heap is left without memory or chunks, unfit for
+// further use.
+func (h *Heap) Release() {
+	if h.spare != nil {
+		*h.spare = heapSpare{chunks: h.chunks[:0], quarantine: h.quarantine[:0]}
+	}
+	h.mem, h.chunks, h.quarantine = nil, nil, nil
 }

@@ -12,7 +12,9 @@
 // themselves. The page table has the shape of a hardware one: a directory
 // of 512-entry tables whose entries point at reference-counted page
 // frames, so a fork copies each populated table and takes one reference
-// per resident frame, as a kernel's fork does. Every access translates
+// per resident frame, as a kernel's fork does, and a tear-down gives its
+// frames and tables to a free list the next fork takes from, as a
+// kernel's page allocator does. Every access translates
 // through that table, as a hardware walk would: a read walks the dense
 // directory in line, and a write goes through writablePage, which
 // privatizes a shared frame first.
@@ -20,6 +22,7 @@ package mem
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -97,6 +100,56 @@ type Memory struct {
 	watchHi   uint64
 	watchBits []uint64
 	watchList []uint64
+
+	// free is the free list this image shares with the image it was
+	// forked from and every other fork of that image; nil until the first
+	// Fork (an image that is never forked gives its storage to the
+	// garbage collector).
+	free *freeList
+}
+
+// freeList holds the storage released images gave back — frames whose
+// last reference was dropped, page tables and directories — for the next
+// fork or page fault of any image sharing it, the way a kernel's page
+// allocator recycles a dead process's frames and tables. A frame on it
+// has refs == 0 and is mapped by no image; tables and directories on it
+// hold stale entries and are overwritten or cleared when taken.
+//
+// The list is not locked: every image sharing one must be forked,
+// written and released on one goroutine at a time, which the
+// non-atomic reference counts already require.
+type freeList struct {
+	frames []*page
+	tables []*table
+	dirs   [][]*table
+}
+
+// pop removes and returns the last entry of a free list, or nil when it
+// is empty.
+func pop[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	x := (*list)[n-1]
+	*list = (*list)[:n-1]
+	return x
+}
+
+// dir returns a cleared directory of n entries, reusing a released one
+// when it is large enough.
+func (fl *freeList) dir(n int) []*table {
+	if k := len(fl.dirs); k > 0 {
+		d := fl.dirs[k-1]
+		fl.dirs[k-1] = nil
+		fl.dirs = fl.dirs[:k-1]
+		if cap(d) >= n {
+			d = d[:n]
+			clear(d)
+			return d
+		}
+	}
+	return make([]*table, n)
 }
 
 // Common memory errors. The VM wraps these into sanitizer faults with
@@ -154,9 +207,17 @@ func (m *Memory) findFar(tn uint64) (int, bool) {
 }
 
 // newTable installs an empty page table for table number tn, which has
-// none yet.
+// none yet, taking it from the free list first.
 func (m *Memory) newTable(tn uint64) *table {
-	t := new(table)
+	var t *table
+	if m.free != nil {
+		if t = pop(&m.free.tables); t != nil {
+			clear(t[:])
+		}
+	}
+	if t == nil {
+		t = new(table)
+	}
 	if tn < denseTables {
 		if tn >= uint64(len(m.dir)) {
 			m.dir = append(m.dir, make([]*table, int(tn)+1-len(m.dir))...)
@@ -213,23 +274,23 @@ func (m *Memory) eachTable(fn func(tn uint64, t *table)) {
 // populated page table is copied whole and every resident frame gains a
 // reference, so every page becomes shared. This is the cost an AFL++
 // forkserver pays per test case; it is O(resident pages) regardless of how
-// little the test case will touch. The child's tables come from one
-// allocation. The child has no watch window, whatever the parent's: a
-// caller that needs the write barrier re-arms it with Watch (the ClosureX
-// harness does so in harness.Fork).
+// little the test case will touch. The child's directory and tables come
+// from the free list m shares with its forks (see freeList) when it holds
+// them. The child has no watch window, whatever
+// the parent's: a caller that needs the write barrier re-arms it with
+// Watch (the ClosureX harness does so in harness.Fork).
 func (m *Memory) Fork() *Memory {
-	child := &Memory{resident: m.resident, limit: m.limit}
-	n := len(m.far)
-	for _, t := range m.dir {
-		if t != nil {
-			n++
-		}
+	if m.free == nil {
+		m.free = new(freeList)
 	}
-	slab := make([]table, n)
-	child.dir = make([]*table, len(m.dir))
+	fl := m.free
+	child := &Memory{resident: m.resident, limit: m.limit, free: fl}
+	child.dir = fl.dir(len(m.dir))
 	m.eachTable(func(tn uint64, t *table) {
-		c := &slab[0]
-		slab = slab[1:]
+		c := pop(&fl.tables)
+		if c == nil {
+			c = new(table)
+		}
 		*c = *t
 		for _, pg := range c {
 			if pg != nil {
@@ -247,16 +308,50 @@ func (m *Memory) Fork() *Memory {
 
 // Release drops every page reference held by this image in one walk of
 // its tables and unmaps everything. A forked child calls Release when the
-// test case finishes, which is the analogue of process tear-down.
+// test case finishes, which is the analogue of process tear-down: frames
+// it held the last reference to, its tables and its directory go onto
+// its free list, if it has one, for the next fork.
 func (m *Memory) Release() {
+	fl := m.free
 	m.eachTable(func(_ uint64, t *table) {
 		for _, pg := range t {
 			if pg != nil {
-				pg.refs--
+				m.unref(pg)
 			}
 		}
+		if fl != nil {
+			fl.tables = append(fl.tables, t)
+		}
 	})
+	if fl != nil && m.dir != nil {
+		fl.dirs = append(fl.dirs, m.dir)
+	}
 	m.dir, m.far, m.resident = nil, nil, 0
+}
+
+// unref drops one reference to pg, a frame this image no longer maps. The
+// last reference puts the frame on the free list.
+func (m *Memory) unref(pg *page) {
+	pg.refs--
+	if pg.refs == 0 && m.free != nil {
+		m.free.frames = append(m.free.frames, pg)
+	}
+}
+
+// newFrame returns a frame with one reference, from the free list first.
+// A recycled frame holds stale bytes, which zero clears; a caller that
+// overwrites the whole frame passes false.
+func (m *Memory) newFrame(zero bool) *page {
+	if m.free != nil {
+		if pg := pop(&m.free.frames); pg != nil {
+			pg.refs = 1
+			if zero {
+				clear(pg.data[:])
+			}
+			return pg
+		}
+	}
+	return &page{refs: 1}
 }
 
 // writablePage returns the page at pn private to this image: a fresh
@@ -276,7 +371,7 @@ func (m *Memory) writablePage(pn uint64) (*page, error) {
 		if t == nil {
 			t = m.newTable(tn)
 		}
-		pg = &page{refs: 1}
+		pg = m.newFrame(true) // demand-zero
 		t[i] = pg
 		m.resident++
 		if m.trackDirty {
@@ -287,7 +382,7 @@ func (m *Memory) writablePage(pn uint64) (*page, error) {
 		m.markWatched(pn)
 	}
 	if pg.refs > 1 {
-		dup := &page{refs: 1}
+		dup := m.newFrame(false) // the copy overwrites it
 		dup.data = pg.data
 		pg.refs--
 		t[i] = dup
@@ -378,7 +473,7 @@ func (m *Memory) RestoreTo(parent *Memory) {
 		if pg == nil || pg == tp {
 			continue // duplicate dirty entry already handled
 		}
-		pg.refs--
+		m.unref(pg)
 		t[pn&tableMask] = tp
 		if tp != nil {
 			tp.refs++
@@ -518,17 +613,24 @@ func (m *Memory) ReadUint(addr uint64, size int) (uint64, error) {
 		if pg == nil {
 			return 0, nil
 		}
+		// The length tests repeat the page-fit test above in a form the
+		// compiler can prove, so the loads carry no bounds checks.
 		b := pg.data[off:]
 		switch size {
 		case 1:
-			return uint64(b[0]), nil
+			return uint64(pg.data[off]), nil
 		case 2:
-			return uint64(b[0]) | uint64(b[1])<<8, nil
+			if len(b) >= 2 {
+				return uint64(binary.LittleEndian.Uint16(b)), nil
+			}
 		case 4:
-			return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24, nil
+			if len(b) >= 4 {
+				return uint64(binary.LittleEndian.Uint32(b)), nil
+			}
 		case 8:
-			return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
+			if len(b) >= 8 {
+				return binary.LittleEndian.Uint64(b), nil
+			}
 		}
 	}
 	var buf [8]byte
@@ -553,21 +655,26 @@ func (m *Memory) WriteUint(addr uint64, v uint64, size int) error {
 		if err != nil {
 			return err
 		}
-		b := pg.data[off:]
+		b := pg.data[off:] // length tests as in ReadUint
 		switch size {
 		case 1:
-			b[0] = byte(v)
+			pg.data[off] = byte(v)
 			return nil
 		case 2:
-			b[0], b[1] = byte(v), byte(v>>8)
-			return nil
+			if len(b) >= 2 {
+				binary.LittleEndian.PutUint16(b, uint16(v))
+				return nil
+			}
 		case 4:
-			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			return nil
+			if len(b) >= 4 {
+				binary.LittleEndian.PutUint32(b, uint32(v))
+				return nil
+			}
 		case 8:
-			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-			return nil
+			if len(b) >= 8 {
+				binary.LittleEndian.PutUint64(b, v)
+				return nil
+			}
 		}
 	}
 	var buf [8]byte

@@ -11,7 +11,11 @@ import (
 // The page table must behave like a flat byte array per image, whatever
 // mix of writes, forks (of forks), releases in any order and snapshot
 // restores runs against it, and every frame's reference count must equal
-// the number of live images that map it. The addresses land on both sides
+// the number of live images that map it. Released frames and tables are
+// recycled through the free list forks share: a frame on it has no
+// references, is mapped by no live image and is listed once, and a frame
+// drawn from it reads as the model says — zero on a first touch, the
+// parent's bytes on a copy-on-write fault. The addresses land on both sides
 // of the first table boundaries (511/512, 1023/1024), both sides of the
 // dense directory's end, and two far pages above 1<<40.
 var pageTablePages = []uint64{
@@ -95,6 +99,52 @@ type ptChecker struct {
 	live []*ptImage
 	// what the run reached, so the test can insist it is not vacuous
 	limitHit, forkOfFork, restores int
+	// single-page writes served by a recycled frame: first touches and
+	// copy-on-write faults
+	recycledZero, recycledCoW int
+}
+
+// writeFault is what a write to one page does to an image's table.
+type writeFault int
+
+const (
+	noFault    writeFault = iota
+	firstTouch            // maps a demand-zero frame
+	cowFault              // privatizes a shared frame
+)
+
+// fault classifies a write to page pn of im before it happens.
+func fault(im *ptImage, pn uint64) writeFault {
+	switch pg := im.m.frame(pn); {
+	case pg == nil:
+		return firstTouch
+	case pg.refs > 1:
+		return cowFault
+	}
+	return noFault
+}
+
+// freeFrames is the length of im's free list of frames (0 with none).
+func freeFrames(im *ptImage) int {
+	if im.m.free == nil {
+		return 0
+	}
+	return len(im.m.free.frames)
+}
+
+// countRecycled records a single-page write at a whose frame came off the
+// free list, given the fault it was classified as and the list's length
+// before it.
+func (c *ptChecker) countRecycled(im *ptImage, f writeFault, before int) {
+	if freeFrames(im) != before-1 {
+		return
+	}
+	switch f {
+	case firstTouch:
+		c.recycledZero++
+	case cowFault:
+		c.recycledCoW++
+	}
 }
 
 func (c *ptChecker) fail(format string, args ...any) {
@@ -145,7 +195,9 @@ func (c *ptChecker) step() {
 			return
 		}
 		a, v := c.addr(), byte(c.rng.Intn(256))
+		f, before := fault(im, a>>PageShift), freeFrames(im)
 		c.expectWrite("StoreByte", im.m.StoreByte(a, v), im.write(a, []byte{v}))
+		c.countRecycled(im, f, before)
 	case 2, 3: // Write, sometimes over several pages
 		im := c.pickWritable()
 		if im == nil {
@@ -169,7 +221,11 @@ func (c *ptChecker) step() {
 		for i := range le {
 			le[i] = byte(v >> (8 * i))
 		}
+		f, before := fault(im, a>>PageShift), freeFrames(im)
 		c.expectWrite("WriteUint", im.m.WriteUint(a, v, size), im.write(a, le))
+		if (a+uint64(size)-1)>>PageShift == a>>PageShift {
+			c.countRecycled(im, f, before)
+		}
 	case 5: // Zero, sometimes a whole page
 		im := c.pickWritable()
 		if im == nil {
@@ -287,10 +343,45 @@ func (c *ptChecker) check() {
 			c.fail("a frame has refs %d, mapped by %d live images", pg.refs, n)
 		}
 	}
+	c.checkFree(maps)
+}
+
+// checkFree checks every free list a live image shares: its frames have
+// no references, are mapped by no live image and are listed once, and its
+// tables are no live image's.
+func (c *ptChecker) checkFree(maps map[*page]int32) {
+	c.t.Helper()
+	inUse := map[*table]bool{}
+	lists := map[*freeList]bool{}
+	for _, im := range c.live {
+		im.m.eachTable(func(_ uint64, t *table) { inUse[t] = true })
+		if im.m.free != nil {
+			lists[im.m.free] = true
+		}
+	}
+	for fl := range lists {
+		seen := map[*page]bool{}
+		for _, pg := range fl.frames {
+			switch {
+			case pg.refs != 0:
+				c.fail("a free frame has refs %d", pg.refs)
+			case maps[pg] > 0:
+				c.fail("a free frame is mapped by %d live images", maps[pg])
+			case seen[pg]:
+				c.fail("a frame is on the free list twice")
+			}
+			seen[pg] = true
+		}
+		for _, t := range fl.tables {
+			if inUse[t] {
+				c.fail("a free page table is a live image's")
+			}
+		}
+	}
 }
 
 func TestPageTableProperty(t *testing.T) {
-	var limitHit, forkOfFork, restores int
+	var limitHit, forkOfFork, restores, recycledZero, recycledCoW int
 	for seed := int64(1); seed <= 40; seed++ {
 		c := &ptChecker{t: t, rng: rand.New(rand.NewSource(seed))}
 		c.live = []*ptImage{c.newRoot()}
@@ -300,9 +391,13 @@ func TestPageTableProperty(t *testing.T) {
 		limitHit += c.limitHit
 		forkOfFork += c.forkOfFork
 		restores += c.restores
+		recycledZero += c.recycledZero
+		recycledCoW += c.recycledCoW
 	}
-	if limitHit == 0 || forkOfFork == 0 || restores == 0 {
-		t.Fatalf("vacuous run: %d writes reached the page limit, %d forks of forks, %d restores",
-			limitHit, forkOfFork, restores)
+	if limitHit == 0 || forkOfFork == 0 || restores == 0 || recycledZero == 0 || recycledCoW == 0 {
+		t.Fatalf("vacuous run: %d writes reached the page limit, %d forks of forks, %d restores, "+
+			"%d first touches and %d copy-on-write faults on recycled frames",
+			limitHit, forkOfFork, restores, recycledZero, recycledCoW)
 	}
+	t.Logf("%d first touches and %d copy-on-write faults on recycled frames", recycledZero, recycledCoW)
 }

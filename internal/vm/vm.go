@@ -131,6 +131,19 @@ type VM struct {
 	scratch [2][]byte
 	// exit is the value exit() unwinds with, reused for the same reason.
 	exit exitUnwind
+
+	// spare is shared by a template and every fork of it: the register
+	// frames, staging buffers and output buffer the last released fork
+	// gave back, for the next Fork to start from. Nil until the first
+	// Fork. Like the memory free list it is not locked.
+	spare *vmSpare
+}
+
+// vmSpare is the per-VM storage a released image hands on.
+type vmSpare struct {
+	regPool, argPool [][]int64
+	scratch          [2][]byte
+	stdout           []byte
 }
 
 // New builds a process image for mod: lays out globals, writes their
@@ -251,7 +264,16 @@ func (v *VM) SetInput(data []byte) { v.FS.SetInput(data) }
 // otherwise it draws fresh entropy, modeling per-process time seeds. The
 // heap-ASLR base is always inherited, as a real fork() does. The child has
 // no section watch window (see mem.Memory.Fork); harness.Fork re-arms it.
+//
+// The child's frames, page tables, register frames and buffers come from
+// what released forks of v (or of its forks) gave back, as a kernel
+// recycles a dead process's pages. Forks of one template must therefore
+// be forked, run and released on one goroutine at a time.
 func (v *VM) Fork() *VM {
+	if v.spare == nil {
+		v.spare = new(vmSpare)
+	}
+	sp := v.spare
 	cm := v.Mem.Fork()
 	child := &VM{
 		Mod:        v.Mod,
@@ -268,15 +290,33 @@ func (v *VM) Fork() *VM {
 		rngState:   v.rngState,
 		detRand:    v.detRand,
 		sp:         v.sp,
+		regPool:    sp.regPool,
+		argPool:    sp.argPool,
+		scratch:    sp.scratch,
+		Stdout:     sp.stdout[:0],
+		spare:      sp,
 	}
+	*sp = vmSpare{}
 	if !v.detRand {
 		child.rngState = aslrCounter.Add(0x9e3779b97f4a7c15) | 1
 	}
 	return child
 }
 
-// Release returns the child's pages (process tear-down).
-func (v *VM) Release() { v.Mem.Release() }
+// Release tears the image down: its pages, page tables and heap
+// bookkeeping go back to the template's free lists (see Fork), and so do
+// its register frames and buffers. The image is unusable afterwards: Mem,
+// Heap and FS are nil, so a use after release panics instead of
+// aliasing the storage of the next fork.
+func (v *VM) Release() {
+	v.Mem.Release()
+	v.Heap.Release()
+	if v.spare != nil {
+		*v.spare = vmSpare{regPool: v.regPool, argPool: v.argPool, scratch: v.scratch, stdout: v.Stdout[:0]}
+	}
+	v.Mem, v.Heap, v.FS = nil, nil, nil
+	v.regPool, v.argPool, v.scratch, v.Stdout = nil, nil, [2][]byte{}, nil
+}
 
 // RestoreFromSnapshot rolls this image back to the template it was forked
 // from: dirty pages are re-shared or unmapped (O(dirty)), and heap and
@@ -284,6 +324,7 @@ func (v *VM) Release() { v.Mem.Release() }
 // (AFL++ Snapshot LKM): cheaper than a fresh fork, but page-granular.
 func (v *VM) RestoreFromSnapshot(template *VM) {
 	v.Mem.RestoreTo(template.Mem)
+	v.Heap.Release()
 	v.Heap = template.Heap.Clone(v.Mem)
 	v.FS = template.FS.Clone()
 	v.sp = template.sp
