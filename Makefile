@@ -89,16 +89,19 @@ harness-audit:
 # Chaos gate: the shard-supervision fault-injection matrix. Unit level,
 # the chaos suite (shard kill -> restart/quarantine, restore corruption ->
 # rebuild ladder, corpus delay/drop, hang escalation, torn checkpoint
-# writes, elastic resume) runs plain and under -race; end to end, the
-# closurex-bench matrix injects each fault class into a real compiled
-# target's parallel campaign and gates on completion + coverage superset +
-# no goroutine leak. The plain run repeats under -cpu 1,2,4: shard
-# scheduling, and so the supervision ladder's timing, depends on the CPU
-# count.
+# writes, elastic resume), the corpus-exchange unit tests and the in-place
+# mechanism rebuild tests (every mechanism's Rebuild; a rebuilt shard 0
+# keeps the instance and the facade live) run plain and under -race; end
+# to end, the closurex-bench matrix injects each fault class into a real
+# compiled target's parallel campaign and gates on completion + coverage
+# superset + no goroutine leak. The plain run repeats under -cpu 1,2,4:
+# shard scheduling, and so the supervision ladder's timing, depends on the
+# CPU count.
 chaos:
-	$(GO) test -cpu 1,2,4 -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError|ForShard|HealthLog' \
-		./internal/fuzz/ ./internal/faultinject/ ./internal/stats/
-	$(GO) test -race -timeout 15m -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError' ./internal/fuzz/
+	$(GO) test -cpu 1,2,4 -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError|ForShard|HealthLog|CorpusExchange|MechanismRebuild|ShardRebuild' \
+		./internal/fuzz/ ./internal/faultinject/ ./internal/stats/ ./internal/execmgr/ ./internal/core/ .
+	$(GO) test -race -timeout 15m -run 'Chaos|Supervis|Elastic|TornWrite|ResumeError|CorpusExchange|MechanismRebuild|ShardRebuild' \
+		./internal/fuzz/ ./internal/execmgr/ ./internal/core/ .
 	$(GO) run ./cmd/closurex-bench -chaos -chaos-execs 20000 -chaos-json BENCH_chaos.json
 
 # Harness-synthesis gate: the synth suite plain and under -race (the

@@ -130,12 +130,13 @@ type Options struct {
 	ResumeFrom []byte
 	// Jobs shards the campaign across N parallel workers, each running its
 	// own process image with an independent RNG stream split from Seed,
-	// merging coverage into a shared global bitmap and exchanging corpus
-	// discoveries through a corpus manager. 0 or 1 fuzzes sequentially;
-	// Jobs == 1 through the parallel executor is bit-identical to the
-	// sequential campaign. When the sentinel is armed it rides on shard 0.
-	// Each shard runs under a supervisor that restarts it on faults with
-	// exponential backoff, rebuilds its mechanism past MaxShardRestarts
+	// merging coverage into a shared global bitmap and publishing corpus
+	// discoveries to the other shards at sync points. 0 or 1 fuzzes
+	// sequentially; Jobs == 1 through the parallel executor is
+	// bit-identical to the sequential campaign. When the sentinel is armed
+	// it rides on shard 0. Each shard runs under a supervisor that restarts
+	// it on faults with exponential backoff, rebuilds its mechanism in
+	// place (a fresh fork of the post-init template) past MaxShardRestarts
 	// consecutive faults, and quarantines it permanently if that fails too
 	// — the campaign continues on the remaining healthy shards.
 	Jobs int
@@ -391,7 +392,7 @@ func (f *Fuzzer) CheckpointTo(path string) error {
 
 // ShardHealth is one parallel shard's supervision snapshot (see
 // Options.Jobs): progress counters, the supervisor's restart/rebuild/
-// quarantine state, and the corpus-exchange backpressure gauges.
+// quarantine state, and the inbox's shed-import counter.
 type ShardHealth struct {
 	Shard             int
 	Execs             int64
@@ -404,7 +405,6 @@ type ShardHealth struct {
 	ConsecutiveFaults int64
 	HangEscalations   int64
 	InboxDropped      int64
-	PendingPublish    int64
 	Quarantined       bool
 	Stalled           bool
 	LastProgress      time.Time

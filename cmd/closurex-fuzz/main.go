@@ -353,7 +353,6 @@ func healthSnapshot(f *closurex.Fuzzer) stats.HealthSnapshot {
 			ConsecutiveFaults: h.ConsecutiveFaults,
 			HangEscalations:   h.HangEscalations,
 			InboxDropped:      h.InboxDropped,
-			PendingPublish:    h.PendingPublish,
 			Quarantined:       h.Quarantined,
 			Stalled:           h.Stalled,
 			LastFault:         h.LastFault,

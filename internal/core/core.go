@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"closurex/internal/analysis"
@@ -271,10 +270,6 @@ type Instance struct {
 	Mechs []execmgr.Mechanism
 	// Parallel is non-nil when the instance runs sharded (Jobs > 1).
 	Parallel *fuzz.ParallelCampaign
-
-	// mechMu guards Mechs against concurrent mutation by shard-supervisor
-	// rebuild callbacks (nil for sequential instances, which never rebuild).
-	mechMu *sync.Mutex
 }
 
 // Driver returns the active campaign — sequential or parallel — behind the
@@ -518,7 +513,6 @@ func newParallelInstance(
 	dict [][]byte, fingerprint string,
 ) (*Instance, error) {
 	mechs := make([]execmgr.Mechanism, 0, opts.Jobs)
-	mechMu := &sync.Mutex{}
 	closeAll := func() {
 		for _, m := range mechs {
 			m.Close()
@@ -533,31 +527,10 @@ func newParallelInstance(
 			return nil, fmt.Errorf("core: shard %d: %w", j, err)
 		}
 		mechs = append(mechs, mech)
-		sc := fuzz.ShardConfig{Executor: mech, CovMap: cov}
-		// The supervisor's escalation rebuild: a brand-new mechanism (fresh
-		// VM + harness) over the same module, swapped into the instance's
-		// mechanism table so Close releases the replacement, not the corpse.
-		// Shard 0 skips this when the sentinel is armed — the sentinel's
-		// controller is wired to the original mechanism, and a swap would
-		// leave it probing a closed image (the mechanism-level rebuild
-		// ladder still covers that shard).
-		if j > 0 || opts.SentinelEvery <= 0 {
-			j := j
-			sc.Rebuild = func() (fuzz.Executor, []byte, error) {
-				ncov := vm.NewCovMap()
-				nm, rerr := newMech(ncov, fuzz.ShardSeed(opts.TrialSeed, j))
-				if rerr != nil {
-					return nil, nil, rerr
-				}
-				mechMu.Lock()
-				old := mechs[j]
-				mechs[j] = nm
-				mechMu.Unlock()
-				old.Close()
-				return nm, ncov, nil
-			}
-		}
-		shards = append(shards, sc)
+		// The supervisor rebuilds a faulting shard's mechanism in place
+		// (Mechanism.Rebuild), so every shard keeps its mechanism for the
+		// instance's lifetime and Mech/CovMap stay shard 0's live ones.
+		shards = append(shards, fuzz.ShardConfig{Executor: mech, CovMap: cov})
 	}
 	pcfg := fuzz.ParallelConfig{
 		Shards:      shards,
@@ -595,16 +568,12 @@ func newParallelInstance(
 	return &Instance{
 		Target: t, Module: mod,
 		Mech: mechs[0], CovMap: shards[0].CovMap,
-		Mechs: mechs, Parallel: par, mechMu: mechMu,
+		Mechs: mechs, Parallel: par,
 	}, nil
 }
 
 // Close releases every shard mechanism's resources.
 func (in *Instance) Close() {
-	if in.mechMu != nil {
-		in.mechMu.Lock()
-		defer in.mechMu.Unlock()
-	}
 	for _, m := range in.Mechs {
 		m.Close()
 	}

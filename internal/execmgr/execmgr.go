@@ -50,6 +50,12 @@ type Mechanism interface {
 	// Spawns returns how many process images have been built or forked —
 	// the process-management cost driver.
 	Spawns() int64
+	// Rebuild replaces whatever process image survives between test cases
+	// with a pristine one: a fresh fork of the mechanism's post-init
+	// template, counted as a spawn. Mechanisms whose images never outlive
+	// an execution have nothing to rebuild. reason is for mechanisms that
+	// log their recovery actions.
+	Rebuild(reason string)
 	// Close releases resources.
 	Close()
 }
@@ -134,6 +140,10 @@ func (f *Fresh) Execs() int64 { return f.execs }
 // Spawns implements Mechanism.
 func (f *Fresh) Spawns() int64 { return f.spawns }
 
+// Rebuild implements Mechanism: a no-op, since every test case already
+// runs in a brand-new image.
+func (f *Fresh) Rebuild(string) {}
+
 // Close implements Mechanism.
 func (f *Fresh) Close() {}
 
@@ -179,6 +189,10 @@ func (f *ForkServer) Execs() int64 { return f.execs }
 
 // Spawns implements Mechanism.
 func (f *ForkServer) Spawns() int64 { return f.spawns }
+
+// Rebuild implements Mechanism: a no-op, since every test case runs in a
+// fresh fork of the template, which never runs one itself.
+func (f *ForkServer) Rebuild(string) {}
 
 // Close implements Mechanism.
 func (f *ForkServer) Close() { f.template.Release() }
@@ -247,6 +261,10 @@ func (p *PersistentNaive) Execs() int64 { return p.execs }
 
 // Spawns implements Mechanism.
 func (p *PersistentNaive) Spawns() int64 { return p.spawns }
+
+// Rebuild implements Mechanism: the persistent child is replaced by a
+// fresh fork of the template, as after a crash.
+func (p *PersistentNaive) Rebuild(string) { p.respawn() }
 
 // Close implements Mechanism.
 func (p *PersistentNaive) Close() {
@@ -334,6 +352,10 @@ func (c *ClosureX) Execs() int64 { return c.execs }
 // Spawns implements Mechanism: the running images, first and respawned.
 // The template is built once and never runs, so it does not count.
 func (c *ClosureX) Spawns() int64 { return c.spawns }
+
+// Rebuild implements Mechanism: the running image is replaced by a fresh
+// fork of the template, as after a crash.
+func (c *ClosureX) Rebuild(string) { c.respawn() }
 
 // Close implements Mechanism.
 func (c *ClosureX) Close() {

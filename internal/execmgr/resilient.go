@@ -126,8 +126,9 @@ func (r *Resilient) Execute(input []byte) vm.Result {
 	return res
 }
 
-// Rebuild lets the campaign's divergence sentinel feed into the same
-// ladder: one rebuild attempt, counting toward the degradation bound.
+// Rebuild implements Mechanism and lets the campaign's divergence sentinel
+// and the shard supervisor feed into the same ladder: one rebuild attempt,
+// counting toward the degradation bound. Once degraded it does nothing.
 func (r *Resilient) Rebuild(reason string) {
 	if r.degraded {
 		return

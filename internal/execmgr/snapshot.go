@@ -32,10 +32,18 @@ func NewSnapshotLKM(cfg Config) (*SnapshotLKM, error) {
 		return nil, err
 	}
 	s := &SnapshotLKM{cfg: cfg, template: tmpl, spawns: 1}
-	s.child = tmpl.Fork()
+	s.respawn()
+	return s, nil
+}
+
+// respawn replaces the snapshotted child with a fresh fork of the template.
+func (s *SnapshotLKM) respawn() {
+	if s.child != nil {
+		s.child.Release()
+	}
+	s.child = s.template.Fork()
 	s.child.Mem.TrackDirty(true)
 	s.spawns++
-	return s, nil
 }
 
 // Name implements Mechanism.
@@ -66,6 +74,10 @@ func (s *SnapshotLKM) Execs() int64 { return s.execs }
 
 // Spawns implements Mechanism.
 func (s *SnapshotLKM) Spawns() int64 { return s.spawns }
+
+// Rebuild implements Mechanism: the child is re-forked from the template
+// instead of rolled back, for when the snapshot itself is suspect.
+func (s *SnapshotLKM) Rebuild(string) { s.respawn() }
 
 // Close implements Mechanism.
 func (s *SnapshotLKM) Close() {

@@ -142,7 +142,7 @@ func runChaosScenario(t *targets.Target, sc chaosScenario, jobs int, execs int64
 	}
 	row.CoverageOK = row.Edges >= baselineEdges
 	inst.Close()
-	// Let supervisor/manager goroutines unwind before the leak check.
+	// Let shard and monitor goroutines unwind before the leak check.
 	for i := 0; i < 50 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -41,14 +41,14 @@ const (
 	// supervisor catches the death and climbs the restart ladder).
 	ShardKill Site = "fuzz.shard-kill"
 	// ShardRestore corrupts a shard's restore path: the shard faults with a
-	// restore-corruption verdict, which the supervisor answers with a
-	// mechanism rebuild before escalating to shard replacement.
+	// restore-corruption verdict, which the supervisor answers with
+	// restarts, then an in-place mechanism rebuild, then quarantine.
 	ShardRestore Site = "fuzz.shard-restore"
-	// CorpusDelay stalls the corpus-manager goroutine on a message,
-	// modelling a slow exchange path (healthy shards must keep fuzzing).
+	// CorpusDelay stalls a shard's corpus publish, modelling a slow
+	// exchange path (the other shards must keep fuzzing).
 	CorpusDelay Site = "fuzz.corpus-delay"
-	// CorpusDrop loses a corpus-channel message entirely (coverage is
-	// unaffected — it merges through the bitmap, not the channel).
+	// CorpusDrop loses one shard's corpus publish entirely (coverage is
+	// unaffected — it merges through the bitmap, not the exchange).
 	CorpusDrop Site = "fuzz.corpus-drop"
 	// CheckpointWrite fails a checkpoint file write mid-stream, leaving a
 	// truncated temp file behind — the torn-write crash the atomic

@@ -269,17 +269,6 @@ func (c *Campaign) RunExecs(n int64) {
 	}
 }
 
-// swapExecutor replaces the campaign's execution mechanism and coverage
-// buffer in place — the shard supervisor's full-replacement rebuild. The
-// campaign's fuzzing state (queue, RNG, bitmap, tables) is untouched: it
-// is all derived from executed inputs, which a fresh mechanism reproduces.
-// Must only be called while the campaign is quiescent (the supervisor calls
-// it between segments, never mid-Step).
-func (c *Campaign) swapExecutor(ex Executor, cov []byte) {
-	c.cfg.Executor = ex
-	c.cfg.CovMap = cov
-}
-
 // Execs returns the number of test cases executed.
 func (c *Campaign) Execs() int64 { return c.execs }
 

@@ -35,8 +35,19 @@ func checkGoroutineLeak(t *testing.T) func() {
 	}
 }
 
+// rebuildableLadder is a ladder executor with the in-place Rebuild the
+// supervisor's escalation step calls. The ladder keeps no state between
+// executions, so a rebuild only counts.
+type rebuildableLadder struct {
+	*coverageLadder
+	rebuilds int
+}
+
+func (r *rebuildableLadder) Rebuild(string) { r.rebuilds++ }
+
 // chaosFleet builds a J-shard ladder fleet with a fast supervisor and the
-// given injector armed.
+// given injector armed. With rebuild, every shard's executor can be
+// rebuilt; without, the supervisor's rebuild step quarantines.
 func chaosFleet(t *testing.T, jobs int, inj *faultinject.Injector, rebuild bool) *ParallelCampaign {
 	t.Helper()
 	var shards []ShardConfig
@@ -44,10 +55,7 @@ func chaosFleet(t *testing.T, jobs int, inj *faultinject.Injector, rebuild bool)
 		ex, cov := newLadder("MAGIC")
 		sc := ShardConfig{Executor: ex, CovMap: cov}
 		if rebuild {
-			sc.Rebuild = func() (Executor, []byte, error) {
-				nex, ncov := newLadder("MAGIC")
-				return nex, ncov, nil
-			}
+			sc.Executor = &rebuildableLadder{coverageLadder: ex}
 		}
 		shards = append(shards, sc)
 	}
@@ -189,6 +197,9 @@ func TestChaosRestoreCorruptRebuildLadder(t *testing.T) {
 	if h[1].Rebuilds != 1 {
 		t.Fatalf("rebuild ladder did not fire exactly once: %+v", h[1])
 	}
+	if n := p.Shard(1).cfg.Executor.(*rebuildableLadder).rebuilds; n != 1 {
+		t.Fatalf("executor rebuilt %d times, want once", n)
+	}
 	if h[1].RestoreFailures < 4 {
 		t.Fatalf("restore failures not recorded: %+v", h[1])
 	}
@@ -234,10 +245,10 @@ func TestChaosCorpusDelayAndDrop(t *testing.T) {
 	p := chaosFleet(t, 3, inj, false)
 	p.RunExecs(30000)
 	if p.Execs() < 30000 {
-		t.Fatalf("campaign wedged behind a slow/lossy manager: %d execs", p.Execs())
+		t.Fatalf("campaign wedged behind a slow/lossy corpus exchange: %d execs", p.Execs())
 	}
-	// Dropped corpus messages may cost propagation, never coverage: the
-	// global bitmap merges at sync boundaries, not through the channel.
+	// Dropped publishes may cost propagation, never coverage: the global
+	// bitmap merges at sync boundaries, not through the exchange.
 	assertCoverageSuperset(t, p)
 	if inj.Fired(faultinject.CorpusDrop) == 0 && inj.Fired(faultinject.CorpusDelay) == 0 {
 		t.Fatal("chaos sites never fired; test exercised nothing")

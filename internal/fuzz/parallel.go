@@ -5,11 +5,13 @@ package fuzz
 // coverage buffer) driven by an independent deterministic RNG stream split
 // from the trial seed. Shards never share mutable fuzzing state on the hot
 // path: coverage flows into a shared global bitmap through atomic OR-merge
-// of each shard's local virgin map at coarse sync boundaries, and new
-// corpus entries flow through a channel to a single corpus-manager
-// goroutine that dedups them by content and rebroadcasts originals to the
+// of each shard's local virgin map at coarse sync boundaries, and at the
+// same boundaries each shard publishes its new corpus entries itself: one
+// mutex-guarded content dedup, then every original is appended to the
 // other shards' inboxes. Execs/crashes/hangs are aggregated from per-shard
 // cache-line-padded counters that Stats-style readers sample without locks.
+// Each shard is one goroutine; nothing else runs but the optional hang
+// monitor.
 //
 // With J = 1 the executor degenerates to exactly the sequential Campaign:
 // shard 0 uses the raw trial seed, nothing is ever imported (there is no
@@ -135,16 +137,13 @@ func (g *GlobalBitmap) Snapshot() []byte {
 // ShardConfig is the per-shard execution plumbing: each shard needs its own
 // mechanism (own VM and harness — VM memory uses non-atomic copy-on-write
 // bookkeeping, so images must not be shared across goroutines) writing
-// coverage into its own buffer.
+// coverage into its own buffer. An Executor that also has a
+// Rebuild(reason string) method (every execmgr mechanism) is rebuilt in
+// place when the shard's supervisor escalates past plain restarts; any
+// other is quarantined at that step.
 type ShardConfig struct {
 	Executor Executor
 	CovMap   []byte
-	// Rebuild, when non-nil, constructs a replacement executor + coverage
-	// map after the shard's supervisor escalates past plain restarts (a
-	// fresh VM/harness build). The callback owns retiring the old
-	// mechanism. Optional: without it (and without a mechanism-level
-	// rebuild ladder) the escalation step quarantines directly.
-	Rebuild func() (Executor, []byte, error)
 }
 
 // ParallelConfig tunes a parallel campaign. The fuzzing knobs mirror
@@ -196,34 +195,21 @@ type shard struct {
 	// faultExecs is the exec count at the shard's last fault. Only
 	// executions past it close the fault streak.
 	faultExecs int64
-	// published is the queue index up to which entries have been captured
-	// for the corpus manager.
+	// published is the queue index up to which entries have been
+	// published to the other shards.
 	published int
-	// pendingPub holds captured entries the manager has not yet accepted —
-	// the backpressure buffer that keeps a slow manager from ever blocking
-	// this shard's exec loop.
-	pendingPub []*Entry
-	// rebuild is the supervisor's mechanism-replacement callback
-	// (ShardConfig.Rebuild).
-	rebuild func() (Executor, []byte, error)
 	// have tracks the content of every entry in this shard's queue, so
 	// rebroadcasts of inputs the shard already knows are dropped at adopt
 	// time instead of polluting the queue.
 	have map[string]struct{}
 
 	// inbox receives unique entries discovered by other shards. Locked, but
-	// only touched at sync boundaries and by the manager — never on the
-	// per-execution hot path.
+	// only touched at sync boundaries (this shard's drain, other shards'
+	// publishes) — never on the per-execution hot path.
 	inbox struct {
 		sync.Mutex
 		entries []*Entry
 	}
-}
-
-// corpusMsg is one shard's batch of freshly discovered queue entries.
-type corpusMsg struct {
-	from    int
-	entries []*Entry
 }
 
 // ParallelCampaign fans one fuzzing trial out over J shards.
@@ -235,11 +221,10 @@ type ParallelCampaign struct {
 	health   []shardHealth
 	global   *GlobalBitmap
 
-	// seen is the corpus manager's content dedup set; corpus is the unique
-	// cross-shard discovery list in arrival order. Owned by the manager
-	// goroutine while a run is active, by the caller otherwise.
+	// seen is the fleet-wide content dedup set of published entries. Shards
+	// take seenMu before any inbox lock.
+	seenMu sync.Mutex
 	seen   map[string]struct{}
-	corpus []*Entry
 
 	// events is the supervision log (see supervisor.go).
 	eventMu sync.Mutex
@@ -283,13 +268,13 @@ func NewParallelCampaign(cfg ParallelConfig) (*ParallelCampaign, error) {
 		global:   NewGlobalBitmap(),
 		seen:     make(map[string]struct{}),
 	}
-	for j, sc := range cfg.Shards {
+	for j := range cfg.Shards {
 		var sent *SentinelConfig
 		if j == 0 {
 			sent = cfg.Sentinel
 		}
 		c := NewCampaign(cfg.shardConfig(j, sent))
-		p.shards = append(p.shards, &shard{id: j, c: c, rebuild: sc.Rebuild, have: make(map[string]struct{})})
+		p.shards = append(p.shards, &shard{id: j, c: c, have: make(map[string]struct{})})
 	}
 	// Every shard bootstraps the same seed corpus itself; pre-seeding the
 	// dedup set stops the first shard to sync from rebroadcasting the seeds
@@ -308,17 +293,11 @@ func (p *ParallelCampaign) Jobs() int { return len(p.shards) }
 // inspection). Must only be used while the campaign is quiescent.
 func (p *ParallelCampaign) Shard(j int) *Campaign { return p.shards[j].c }
 
-// GlobalEdges returns the merged edge count (same as Edges; kept for
-// symmetry with per-shard Edges readings).
-func (p *ParallelCampaign) GlobalEdges() int { return p.global.Edges() }
-
 // syncShard runs one sync boundary for sh: sample counters, merge local
-// coverage into the global bitmap, capture fresh queue entries for the
-// manager, adopt imports. Capture happens before drain so a shard never
-// re-adopts content it is about to publish itself. Publishing is
-// non-blocking (flushPublishes) — a wedged manager can never stall a
-// healthy shard's exec loop.
-func (p *ParallelCampaign) syncShard(sh *shard, pub chan<- corpusMsg) {
+// coverage into the global bitmap, publish fresh queue entries, adopt
+// imports. Publishing happens before the drain so a shard never re-adopts
+// content it has just published itself.
+func (p *ParallelCampaign) syncShard(sh *shard) {
 	c := sh.c
 	h := &p.health[sh.id]
 	atomic.StoreInt64(&p.counters[sh.id].execs, c.execs)
@@ -326,17 +305,13 @@ func (p *ParallelCampaign) syncShard(sh *shard, pub chan<- corpusMsg) {
 	atomic.StoreInt64(&p.counters[sh.id].hangs, int64(len(c.hangs)))
 	p.global.Merge(c.bitmap.virgin[:])
 	if n := len(c.queue); n > sh.published {
-		fresh := make([]*Entry, n-sh.published)
-		copy(fresh, c.queue[sh.published:])
+		fresh := c.queue[sh.published:n]
 		for _, e := range fresh {
 			sh.have[string(e.Input)] = struct{}{}
 		}
 		sh.published = n
-		if len(p.shards) > 1 {
-			sh.pendingPub = append(sh.pendingPub, fresh...)
-		}
+		p.publish(sh.id, fresh)
 	}
-	p.flushPublishes(sh, pub, false)
 	sh.drainInbox()
 	// Reaching a boundary with fresh executions is progress for the hang
 	// monitor; executions since the last fault are recovery and close the
@@ -363,42 +338,6 @@ func (p *ParallelCampaign) syncShard(sh *shard, pub chan<- corpusMsg) {
 	sh.lastSync = c.execs
 }
 
-// flushPublishes hands the shard's captured entries to the manager. The
-// regular-boundary form is non-blocking: if the manager's channel is full
-// the entries stay pending and the shard keeps fuzzing (backpressure is a
-// counter, not a stall). The final form (quiescence, quarantine) blocks up
-// to publishTimeout so redistribution survives a slow manager without ever
-// deadlocking on a dead one.
-func (p *ParallelCampaign) flushPublishes(sh *shard, pub chan<- corpusMsg, final bool) {
-	h := &p.health[sh.id]
-	if len(sh.pendingPub) == 0 || pub == nil || len(p.shards) == 1 {
-		sh.pendingPub = nil
-		h.pendingPub.Store(0)
-		return
-	}
-	msg := corpusMsg{from: sh.id, entries: sh.pendingPub}
-	if final {
-		t := time.NewTimer(publishTimeout)
-		defer t.Stop()
-		select {
-		case pub <- msg:
-			sh.pendingPub = nil
-		case <-t.C:
-			p.eventf(sh.id, sh.c.execs, "publish-timeout",
-				"manager did not accept %d entries within %v; coverage already merged", len(msg.entries), publishTimeout)
-			sh.pendingPub = nil
-		}
-	} else {
-		select {
-		case pub <- msg:
-			sh.pendingPub = nil
-		default:
-			// Manager busy: keep pending, retry at the next boundary.
-		}
-	}
-	h.pendingPub.Store(int64(len(sh.pendingPub)))
-}
-
 // drainInbox adopts imported entries into the local queue. Imports extend
 // the mutation fodder only; they are not re-executed (their coverage is
 // already in the global bitmap) and are skipped by this shard's own
@@ -423,63 +362,57 @@ func (sh *shard) drainInbox() {
 	}
 }
 
-// manager is the corpus-manager goroutine: single consumer of the publish
-// channel, owner of the global dedup set, broadcaster of originals. Each
-// receiving shard's inbox is bounded by inboxCap: when a stalled shard stops
-// draining, its oldest pending imports are shed (and counted) instead of
-// growing the inbox without bound. Shedding is sound — imports are mutation
-// fodder only; their coverage already lives in the global bitmap.
-func (p *ParallelCampaign) manager(pub <-chan corpusMsg, done chan<- struct{}) {
-	inj := p.sup.Injector
-	for msg := range pub {
-		if inj != nil {
-			if inj.Should(faultinject.CorpusDelay) {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if inj.Should(faultinject.CorpusDrop) {
-				continue
-			}
+// publish hands one shard's fresh queue entries to the rest of the fleet:
+// each entry whose content no shard has published before is appended to
+// every other live shard's inbox. Each inbox is bounded by inboxCap: when a
+// stalled shard stops draining, its oldest pending imports are shed (and
+// counted) instead of growing the inbox without bound. Shedding is sound —
+// imports are mutation fodder only; their coverage already lives in the
+// global bitmap. With one shard there is nobody to publish to, and the
+// dedup set is left alone.
+func (p *ParallelCampaign) publish(from int, entries []*Entry) {
+	if len(p.shards) == 1 {
+		return
+	}
+	if inj := p.sup.Injector; inj != nil {
+		if inj.Should(faultinject.CorpusDelay) {
+			time.Sleep(2 * time.Millisecond)
 		}
-		for _, e := range msg.entries {
-			k := string(e.Input)
-			if _, dup := p.seen[k]; dup {
-				continue
-			}
-			p.seen[k] = struct{}{}
-			p.corpus = append(p.corpus, e)
-			for _, other := range p.shards {
-				if other.id == msg.from {
-					continue
-				}
-				if p.health[other.id].quarantined.Load() {
-					continue
-				}
-				other.inbox.Lock()
-				other.inbox.entries = append(other.inbox.entries, e)
-				if len(other.inbox.entries) > inboxCap {
-					shed := len(other.inbox.entries) - inboxCap
-					other.inbox.entries = append([]*Entry(nil), other.inbox.entries[shed:]...)
-					p.health[other.id].inboxDropped.Add(int64(shed))
-				}
-				other.inbox.Unlock()
-			}
+		if inj.Should(faultinject.CorpusDrop) {
+			return
 		}
 	}
-	close(done)
+	p.seenMu.Lock()
+	defer p.seenMu.Unlock()
+	for _, e := range entries {
+		k := string(e.Input)
+		if _, dup := p.seen[k]; dup {
+			continue
+		}
+		p.seen[k] = struct{}{}
+		for _, other := range p.shards {
+			if other.id == from || p.health[other.id].quarantined.Load() {
+				continue
+			}
+			other.inbox.Lock()
+			other.inbox.entries = append(other.inbox.entries, e)
+			if shed := len(other.inbox.entries) - inboxCap; shed > 0 {
+				other.inbox.entries = other.inbox.entries[:copy(other.inbox.entries, other.inbox.entries[shed:])]
+				p.health[other.id].inboxDropped.Add(int64(shed))
+			}
+			other.inbox.Unlock()
+		}
+	}
 }
 
 // run executes fn(shard) on every shard concurrently — each under its
-// supervisor — with the corpus manager and hang monitor wired up, and waits
-// for full quiescence (all shards done, manager drained, leftover imports
-// adopted).
-func (p *ParallelCampaign) run(fn func(sh *shard, pub chan<- corpusMsg)) {
+// supervisor — with the hang monitor wired up, and waits for full
+// quiescence (all shards done, leftover imports adopted).
+func (p *ParallelCampaign) run(fn func(sh *shard)) {
 	if !p.running {
 		p.start = time.Now()
 		p.running = true
 	}
-	pub := make(chan corpusMsg, len(p.shards))
-	done := make(chan struct{})
-	go p.manager(pub, done)
 	var monStop chan struct{}
 	var monWG sync.WaitGroup
 	if p.sup.HangAfter > 0 {
@@ -495,7 +428,7 @@ func (p *ParallelCampaign) run(fn func(sh *shard, pub chan<- corpusMsg)) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			p.supervise(sh, pub, fn)
+			p.supervise(sh, fn)
 		}(sh)
 	}
 	wg.Wait()
@@ -503,9 +436,7 @@ func (p *ParallelCampaign) run(fn func(sh *shard, pub chan<- corpusMsg)) {
 		close(monStop)
 		monWG.Wait()
 	}
-	close(pub)
-	<-done
-	// Imports broadcast during the final boundaries may have landed after a
+	// Imports published during the final boundaries may have landed after a
 	// shard's last drain; fold them in now so the corpus view is complete
 	// and the next run starts from it.
 	for _, sh := range p.shards {
@@ -517,9 +448,9 @@ func (p *ParallelCampaign) run(fn func(sh *shard, pub chan<- corpusMsg)) {
 
 // maybeSync runs a sync boundary when the shard has accumulated SyncEvery
 // executions since the last one.
-func (p *ParallelCampaign) maybeSync(sh *shard, pub chan<- corpusMsg) {
+func (p *ParallelCampaign) maybeSync(sh *shard) {
 	if sh.c.execs-sh.lastSync >= int64(p.cfg.SyncEvery) {
-		p.syncShard(sh, pub)
+		p.syncShard(sh)
 	}
 }
 
@@ -539,12 +470,12 @@ func (p *ParallelCampaign) othersExecs(sh *shard) int64 {
 // the sequential RunFor.
 func (p *ParallelCampaign) RunFor(d time.Duration) {
 	deadline := time.Now().Add(d)
-	p.run(func(sh *shard, pub chan<- corpusMsg) {
+	p.run(func(sh *shard) {
 		c := sh.c
 		for {
 			for i := 0; i < checkEvery; i++ {
 				p.step(sh)
-				p.maybeSync(sh, pub)
+				p.maybeSync(sh)
 			}
 			if c.stopRequested() || time.Now().After(deadline) {
 				return
@@ -559,14 +490,14 @@ func (p *ParallelCampaign) RunFor(d time.Duration) {
 // shard and n > 0 the loop condition is exactly the sequential RunExecs
 // condition.
 func (p *ParallelCampaign) RunExecs(n int64) {
-	p.run(func(sh *shard, pub chan<- corpusMsg) {
+	p.run(func(sh *shard) {
 		c := sh.c
 		steps := 0
 		// A shard the scheduler starved until the budget was spent still
 		// runs its seeds: a fleet checkpoint needs every shard bootstrapped.
 		for !c.started || p.othersExecs(sh)+c.execs < n {
 			p.step(sh)
-			p.maybeSync(sh, pub)
+			p.maybeSync(sh)
 			if steps++; steps >= checkEvery {
 				steps = 0
 				if c.stopRequested() {
@@ -804,7 +735,7 @@ func resumeParallelExact(cfg ParallelConfig, st *parallelState) (*ParallelCampai
 		sh.c = c
 		// Everything in a resumed queue is old news: mark it published so
 		// it is not rebroadcast, and rebuild the content set and the
-		// manager's dedup state from it.
+		// fleet's dedup set from it.
 		sh.published = len(c.queue)
 		sh.lastSync = c.execs
 		for _, e := range c.queue {

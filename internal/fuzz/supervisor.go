@@ -9,12 +9,13 @@ package fuzz
 //	    → restart the shard loop with exponential backoff (campaign state —
 //	      queue, RNG, bitmap — survives; only the segment died)
 //	repeated fault (> MaxRestarts consecutive)
-//	    → rebuild the execution mechanism: first via the mechanism's own
-//	      ladder (execmgr.Resilient.Rebuild), else a full replacement
-//	      through ShardConfig.Rebuild (fresh VM + harness)
+//	    → rebuild the execution mechanism in place through its
+//	      Rebuild(reason) method: a fresh fork of its post-init template
+//	      (execmgr.Resilient climbs its own ladder instead); an executor
+//	      without the method skips this step
 //	fault again
-//	    → permanent quarantine: the shard's coverage is merged, its pending
-//	      corpus redistributed through the manager, and the campaign
+//	    → permanent quarantine: the shard's coverage is merged, its last
+//	      corpus entries published to the other shards, and the campaign
 //	      continues on the remaining healthy shards
 //
 // A shard that reaches a sync boundary having executed since its last fault
@@ -36,18 +37,12 @@ import (
 	"closurex/internal/faultinject"
 )
 
-const (
-	// inboxCap bounds each shard's import inbox; when a shard stalls and
-	// stops draining, the manager drops its oldest pending imports instead
-	// of growing without bound. Dropped imports are mutation fodder only —
-	// their coverage already lives in the global bitmap — so dropping is
-	// always sound.
-	inboxCap = 4096
-	// publishTimeout bounds the blocking corpus flush at a shard's final
-	// sync boundary (quarantine or campaign end); a manager wedged longer
-	// than this loses the flush rather than deadlocking the fleet.
-	publishTimeout = 2 * time.Second
-)
+// inboxCap bounds each shard's import inbox; when a shard stalls and stops
+// draining, publishers drop its oldest pending imports instead of growing
+// it without bound. Dropped imports are mutation fodder only — their
+// coverage already lives in the global bitmap — so dropping is always
+// sound.
+const inboxCap = 4096
 
 // SupervisorConfig tunes the per-shard supervision ladder.
 type SupervisorConfig struct {
@@ -68,7 +63,7 @@ type SupervisorConfig struct {
 	// event log so operators and the stats emitter see it.
 	HangAfter time.Duration
 	// Injector arms chaos injection in the parallel layer: shard kills,
-	// restore corruption, corpus-channel delay/drop. Nil injects nothing
+	// restore corruption, corpus-publish delay/drop. Nil injects nothing
 	// and keeps the per-step probe to a single nil check.
 	Injector *faultinject.Injector
 }
@@ -101,7 +96,6 @@ type shardHealth struct {
 	consecFaults    atomic.Int64
 	hangEscalations atomic.Int64
 	inboxDropped    atomic.Int64
-	pendingPub      atomic.Int64
 	quarantined     atomic.Bool
 	stalled         atomic.Bool
 	lastProgress    atomic.Int64  // unix nanos of the last observed progress
@@ -137,9 +131,9 @@ type ShardHealth struct {
 	// ExecRate is an exponentially weighted execs/sec over sync windows.
 	ExecRate float64
 	// Restarts counts supervised segment restarts; Rebuilds counts
-	// mechanism rebuilds/replacements; RestoreFailures counts faults
-	// triaged as restore corruption (both injected and, for mechanisms
-	// that expose it, organic restore errors).
+	// mechanism rebuilds; RestoreFailures counts faults triaged as restore
+	// corruption (both injected and, for mechanisms that expose it,
+	// organic restore errors).
 	Restarts        int64
 	Rebuilds        int64
 	RestoreFailures int64
@@ -147,11 +141,8 @@ type ShardHealth struct {
 	ConsecutiveFaults int64
 	// HangEscalations counts monitor no-progress escalations.
 	HangEscalations int64
-	// InboxDropped counts imports shed by the bounded inbox;
-	// PendingPublish is the backpressure depth (entries waiting for the
-	// manager to accept them).
-	InboxDropped   int64
-	PendingPublish int64
+	// InboxDropped counts imports shed by the bounded inbox.
+	InboxDropped int64
 	// Quarantined means the supervisor permanently retired the shard;
 	// Stalled means the hang monitor currently sees no progress.
 	Quarantined bool
@@ -174,10 +165,9 @@ type ShardEvent struct {
 	At     time.Duration // campaign time
 }
 
-// mechRebuilder is the optional executor interface the supervisor prefers
-// for rebuilds: execmgr.Resilient satisfies it, so a restore-corrupt shard
-// first recycles its persistent image through the mechanism's own ladder
-// before the supervisor replaces the whole mechanism.
+// mechRebuilder is the optional executor interface behind the supervisor's
+// rebuild step. Every execmgr mechanism satisfies it: persistent ones
+// re-fork their template, execmgr.Resilient climbs its own ladder.
 type mechRebuilder interface{ Rebuild(reason string) }
 
 // mechDegraded is the optional executor interface exposing the mechanism
@@ -208,7 +198,6 @@ func (p *ParallelCampaign) Health() []ShardHealth {
 			ConsecutiveFaults: h.consecFaults.Load(),
 			HangEscalations:   h.hangEscalations.Load(),
 			InboxDropped:      h.inboxDropped.Load(),
-			PendingPublish:    h.pendingPub.Load(),
 			Quarantined:       h.quarantined.Load(),
 			Stalled:           h.stalled.Load(),
 			LastFault:         h.getLastFault(),
@@ -271,20 +260,20 @@ func (p *ParallelCampaign) step(sh *shard) {
 // supervise is one shard's top-level goroutine: run the exec loop, and on
 // shard death climb restart → rebuild → quarantine. A quarantined shard
 // never restarts, including across subsequent RunFor/RunExecs calls.
-func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*shard, chan<- corpusMsg)) {
+func (p *ParallelCampaign) supervise(sh *shard, fn func(*shard)) {
 	h := &p.health[sh.id]
 	if h.quarantined.Load() {
 		return
 	}
 	h.touchProgress()
 	for {
-		if p.runSegment(sh, pub, fn) {
+		if p.runSegment(sh, fn) {
 			// Normal completion (deadline, exec target, or stop request):
-			// flush everything at a final boundary. The boundary closes the
-			// fault streak only if the shard executed since its last fault:
-			// a segment that found the budget already spent is no recovery.
-			p.syncShard(sh, pub)
-			p.flushPublishes(sh, pub, true)
+			// publish everything at a final boundary. The boundary closes
+			// the fault streak only if the shard executed since its last
+			// fault: a segment that found the budget already spent is no
+			// recovery.
+			p.syncShard(sh)
 			return
 		}
 		sh.faultExecs = sh.c.execs
@@ -298,7 +287,7 @@ func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*s
 		case faults == int64(p.sup.MaxRestarts)+1 && p.rebuildShard(sh):
 			p.backoffWait(p.backoffFor(faults))
 		default:
-			p.quarantineShard(sh, pub)
+			p.quarantineShard(sh)
 			return
 		}
 	}
@@ -306,7 +295,7 @@ func (p *ParallelCampaign) supervise(sh *shard, pub chan<- corpusMsg, fn func(*s
 
 // runSegment runs one supervised stretch of the shard loop, converting any
 // panic in the shard's exec stack into a recorded fault.
-func (p *ParallelCampaign) runSegment(sh *shard, pub chan<- corpusMsg, fn func(*shard, chan<- corpusMsg)) (completed bool) {
+func (p *ParallelCampaign) runSegment(sh *shard, fn func(*shard)) (completed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			h := &p.health[sh.id]
@@ -321,7 +310,7 @@ func (p *ParallelCampaign) runSegment(sh *shard, pub chan<- corpusMsg, fn func(*
 			}
 		}
 	}()
-	fn(sh, pub)
+	fn(sh)
 	return true
 }
 
@@ -349,41 +338,27 @@ func (p *ParallelCampaign) backoffWait(d time.Duration) {
 	}
 }
 
-// rebuildShard replaces the shard's execution mechanism while keeping its
-// campaign state (queue, RNG, bitmap — all still sound; only the mechanism
-// is suspect). The mechanism's own ladder is preferred; full replacement
-// through ShardConfig.Rebuild is the fallback. Returns false when no
-// rebuild path exists or construction fails — the caller quarantines.
+// rebuildShard rebuilds the shard's execution mechanism in place while
+// keeping its campaign state (queue, RNG, bitmap — all still sound; only
+// the mechanism's image is suspect). Returns false when the executor has
+// no Rebuild method — the caller quarantines.
 func (p *ParallelCampaign) rebuildShard(sh *shard) bool {
-	h := &p.health[sh.id]
-	if rb, ok := sh.c.cfg.Executor.(mechRebuilder); ok {
-		rb.Rebuild("shard supervisor: fault streak escalation")
-		h.rebuilds.Add(1)
-		p.eventf(sh.id, sh.c.execs, "rebuild", "mechanism ladder rebuild")
-		return true
-	}
-	if sh.rebuild == nil {
+	rb, ok := sh.c.cfg.Executor.(mechRebuilder)
+	if !ok {
 		return false
 	}
-	ex, cov, err := sh.rebuild()
-	if err != nil {
-		p.eventf(sh.id, sh.c.execs, "rebuild", "replacement failed: %v", err)
-		return false
-	}
-	sh.c.swapExecutor(ex, cov)
-	h.rebuilds.Add(1)
-	p.eventf(sh.id, sh.c.execs, "rebuild", "mechanism replaced")
+	rb.Rebuild("shard supervisor: fault streak escalation")
+	p.health[sh.id].rebuilds.Add(1)
+	p.eventf(sh.id, sh.c.execs, "rebuild", "mechanism rebuilt in place")
 	return true
 }
 
 // quarantineShard retires sh permanently: its coverage is merged and its
-// pending corpus redistributed (published through the manager so the
-// healthy shards adopt it), then the shard leaves the fleet. The campaign
-// continues on J−k healthy shards.
-func (p *ParallelCampaign) quarantineShard(sh *shard, pub chan<- corpusMsg) {
+// last discoveries published so the healthy shards adopt them, then the
+// shard leaves the fleet. The campaign continues on J−k healthy shards.
+func (p *ParallelCampaign) quarantineShard(sh *shard) {
 	h := &p.health[sh.id]
-	p.syncShard(sh, pub)
-	p.flushPublishes(sh, pub, true)
+	p.syncShard(sh)
 	h.quarantined.Store(true)
 	p.eventf(sh.id, sh.c.execs, "quarantine", "retired after %d consecutive faults; last: %s",
 		h.consecFaults.Load(), h.getLastFault())

@@ -27,7 +27,6 @@ type ShardHealthRecord struct {
 	ConsecutiveFaults int64   `json:"consecutive_faults"`
 	HangEscalations   int64   `json:"hang_escalations"`
 	InboxDropped      int64   `json:"inbox_dropped"`
-	PendingPublish    int64   `json:"pending_publish"`
 	Quarantined       bool    `json:"quarantined"`
 	Stalled           bool    `json:"stalled"`
 	LastProgress      string  `json:"last_progress,omitempty"` // RFC 3339

@@ -2,6 +2,12 @@ package closurex
 
 import (
 	"testing"
+	"time"
+
+	"closurex/internal/core"
+	"closurex/internal/faultinject"
+	"closurex/internal/fuzz"
+	"closurex/internal/targets"
 )
 
 // Facade-level resilience coverage: checkpoint/resume round-trips through
@@ -137,5 +143,60 @@ func TestSentinelOptionQuietOnClosureX(t *testing.T) {
 	f.RunExecs(600)
 	if st := f.Stats(); st.Divergences != 0 {
 		t.Fatalf("false-positive divergences on closurex: %+v", st)
+	}
+}
+
+// TestShardRebuildKeepsFuzzerLive drives shard 0 of a J=2 campaign up the
+// supervisor's ladder to its rebuild step. The rebuild happens inside the
+// shard's own mechanism, so the instance's shard-0 mechanism and coverage
+// map stay the live ones: single-input replays (Fuzzer.TryOne, the
+// minimizers) keep working, and Stats().Spawns counts the rebuild's
+// respawn next to the initial images and every crash respawn.
+func TestShardRebuildKeepsFuzzerLive(t *testing.T) {
+	tg := *targets.Get("giftext")
+	tg.ImagePages = 0
+	inj := faultinject.New(1)
+	inj.FailAfter(faultinject.ForShard(faultinject.ShardRestore, 0), 500, 4)
+	in, err := core.NewInstance(&tg, "closurex", core.InstanceOptions{
+		TrialSeed: 1, Jobs: 2, Injector: inj, MaxShardRestarts: 3, ShardBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Fuzzer{inst: in}
+	defer f.Close()
+	in.Parallel.RunExecs(4000)
+	// Shard 1 may spend the budget while shard 0 sits in a restart
+	// backoff: run slices until shard 0 has reached its rebuild.
+	for i := 0; i < 100 && in.Parallel.Health()[0].Rebuilds == 0; i++ {
+		in.Parallel.RunFor(time.Millisecond)
+	}
+	if h := in.Parallel.Health()[0]; h.Rebuilds != 1 || h.Quarantined {
+		t.Fatalf("shard 0 was not rebuilt exactly once: %+v", h)
+	}
+	if in.Mech != in.Mechs[0] {
+		t.Fatal("the instance's mechanism is no longer shard 0's")
+	}
+
+	st := f.Stats()
+	var faults int64
+	for _, c := range st.Crashes {
+		faults += c.Count
+	}
+	for _, h := range st.Hangs {
+		faults += h.Count
+	}
+	if want := int64(in.Jobs()) + faults + 1; st.Spawns != want {
+		t.Fatalf("spawns = %d, want %d (%d first images + %d crash respawns + 1 rebuild)",
+			st.Spawns, want, in.Jobs(), faults)
+	}
+
+	seed := tg.Seeds()[0]
+	if res := in.Mech.Execute(seed); res.Crashed() {
+		t.Fatalf("seed crashed after the rebuild: %v", res.Fault)
+	}
+	fuzz.ClearTrace(in.CovMap)
+	if crashed, key := f.TryOne(seed); crashed {
+		t.Fatalf("TryOne(seed) crashed after the rebuild: %s", key)
 	}
 }
