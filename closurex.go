@@ -78,10 +78,11 @@ type Options struct {
 	// deduplicated and capped. Off, the dictionary is exactly Dict.
 	AutoDict bool
 	// Resilient wraps the closurex mechanism in the campaign resilience
-	// ladder: a restore watchdog that validates post-iteration invariants,
-	// quarantine + image rebuild on violation, and graceful degradation to
-	// the forkserver after bounded retries. With any other mechanism
-	// building the fuzzer fails.
+	// ladder: a restore watchdog that validates post-iteration invariants
+	// every 64 executions, quarantine + image rebuild on violation, and
+	// graceful degradation to the forkserver after 3 consecutive rebuilds.
+	// The bounds are fixed. It is the only way to select the ladder; with
+	// any other mechanism building the fuzzer fails.
 	Resilient bool
 	// SentinelEvery arms the divergence sentinel: every N executions one
 	// queue entry is replayed in a fresh process image and cross-checked
@@ -136,13 +137,10 @@ type Options struct {
 	// bit-identical to the sequential campaign. When the sentinel is armed
 	// it rides on shard 0. Each shard runs under a supervisor that restarts
 	// it on faults with exponential backoff, rebuilds its mechanism in
-	// place (a fresh fork of the post-init template) past MaxShardRestarts
-	// consecutive faults, and quarantines it permanently if that fails too
-	// — the campaign continues on the remaining healthy shards.
+	// place (a fresh fork of the post-init template) past 3 consecutive
+	// faults, and quarantines it permanently if that fails too — the
+	// campaign continues on the remaining healthy shards.
 	Jobs int
-	// MaxShardRestarts bounds consecutive supervised restarts per shard
-	// before escalation (0 = default 3). Jobs > 1 only.
-	MaxShardRestarts int
 	// ShardBackoff is the base shard-restart cooldown, doubling per
 	// consecutive fault (0 = default 2ms). Jobs > 1 only.
 	ShardBackoff time.Duration
@@ -265,26 +263,17 @@ func instanceOptions(opts Options) core.InstanceOptions {
 		Stop:              opts.Stop,
 		ResumeFrom:        opts.ResumeFrom,
 		Jobs:              opts.Jobs,
-		MaxShardRestarts:  opts.MaxShardRestarts,
 		ShardBackoff:      opts.ShardBackoff,
 		Interproc:         opts.Interproc,
 		AuditRestore:      opts.AuditRestore,
 		AutoDict:          opts.AutoDict,
+		Resilient:         opts.Resilient,
 	}
 	if opts.Sanitize {
 		io.Sanitize = core.SanitizeElide
 		if opts.SanitizeNoElide {
 			io.Sanitize = core.SanitizeNoElide
 		}
-	}
-	if opts.Resilient {
-		rc := execmgr.DefaultResilienceConfig()
-		io.Resilience = &rc
-	}
-	if opts.SentinelEvery > 0 || opts.ResumeFrom != nil {
-		// Probe replays and resumed runs must reproduce executions
-		// exactly; per-process entropy would read as divergence/drift.
-		io.DeterministicRand = true
 	}
 	return io
 }

@@ -47,7 +47,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "campaign RNG seed")
 		status     = flag.Duration("status", 2*time.Second, "status interval")
 		jobs       = flag.Int("jobs", 1, "parallel campaign shards (each with its own process image)")
-		maxShardRs = flag.Int("max-shard-restarts", 0, "consecutive supervised restarts per shard before mechanism rebuild (0 = default 3; -jobs > 1)")
 		shardBack  = flag.Duration("shard-backoff", 0, "base shard-restart cooldown, doubling per consecutive fault (0 = default 2ms; -jobs > 1)")
 		statsJSON  = flag.String("stats-json", "", "append per-shard health snapshots to this JSON-lines file at every status interval")
 	)
@@ -91,19 +90,18 @@ func main() {
 	}()
 
 	opts := closurex.Options{
-		Mechanism:        *mechanism,
-		Seed:             *seed,
-		Sanitize:         *sanitize,
-		SanitizeNoElide:  *noElide,
-		Resilient:        *resilient,
-		Interproc:        *interproc,
-		AuditRestore:     *auditRest,
-		AutoDict:         *autoDict,
-		SentinelEvery:    *sentEvery,
-		Stop:             stop,
-		Jobs:             *jobs,
-		MaxShardRestarts: *maxShardRs,
-		ShardBackoff:     *shardBack,
+		Mechanism:       *mechanism,
+		Seed:            *seed,
+		Sanitize:        *sanitize,
+		SanitizeNoElide: *noElide,
+		Resilient:       *resilient,
+		Interproc:       *interproc,
+		AuditRestore:    *auditRest,
+		AutoDict:        *autoDict,
+		SentinelEvery:   *sentEvery,
+		Stop:            stop,
+		Jobs:            *jobs,
+		ShardBackoff:    *shardBack,
 	}
 	if *ckptPath != "" {
 		// Bit-identical resume needs the target's entropy pinned.

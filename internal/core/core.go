@@ -295,25 +295,25 @@ type InstanceOptions struct {
 	TrialSeed uint64
 	// Budget overrides the per-execution instruction budget.
 	Budget int64
-	// TraceEdges enables path tracing (correctness study only).
-	TraceEdges bool
 	// HarnessOpts overrides which state ClosureX restores (ablations).
 	HarnessOpts *harness.Options
 	// DeferInit switches the ClosureX build to the DeferInit pipeline.
 	DeferInit bool
 	// Files pre-populates the virtual filesystem (configs etc.).
 	Files map[string][]byte
-	// Resilience wraps a "closurex" mechanism in the watchdog/rebuild/
-	// fallback ladder (execmgr.Resilient). Nil leaves the bare mechanism;
+	// Resilient wraps a "closurex" mechanism in the watchdog/rebuild/
+	// fallback ladder (execmgr.Resilient, whose bounds are fixed);
 	// NewInstance refuses it for any other mechanism.
-	Resilience *execmgr.ResilienceConfig
+	Resilient bool
 	// SentinelEvery arms the divergence sentinel every N campaign
 	// executions: replays under a fresh reference image are cross-checked
-	// against the campaign mechanism. 0 disables.
+	// against the campaign mechanism. 0 disables. Implies DeterministicRand.
 	SentinelEvery int64
-	// DeterministicRand pins the VM rand()/heap-ASLR seeds to TrialSeed,
-	// which the sentinel and checkpoint/resume both want: probe replays
-	// and resumed runs then reproduce executions exactly.
+	// DeterministicRand pins the VM rand()/heap-ASLR seeds to TrialSeed.
+	// NewInstance turns it on whenever the sentinel is armed or the
+	// campaign resumes: probe replays and resumed runs must reproduce
+	// executions exactly, and per-process entropy would read as divergence
+	// or drift.
 	DeterministicRand bool
 	// Sanitize arms the ASan-style shadow plane: the build gets
 	// SanitizerPass checks (elided where the static analysis proves them
@@ -338,7 +338,8 @@ type InstanceOptions struct {
 	Stop <-chan struct{}
 	// ResumeFrom, when non-nil, restores campaign state from a checkpoint
 	// (fuzz.Campaign.Checkpoint) instead of starting fresh. The target,
-	// mechanism and TrialSeed must match the checkpointed run.
+	// mechanism and TrialSeed must match the checkpointed run. Implies
+	// DeterministicRand.
 	ResumeFrom []byte
 	// Jobs shards the campaign across N parallel workers, each with its
 	// own process image and harness, merging coverage into a shared global
@@ -356,10 +357,6 @@ type InstanceOptions struct {
 	// Off, the dictionary path is untouched — campaigns are bit-identical
 	// to builds that predate the wiring.
 	AutoDict bool
-	// MaxShardRestarts bounds consecutive supervised restarts per shard
-	// before the supervisor escalates to a mechanism rebuild (0 uses the
-	// fuzz.SupervisorConfig default of 3). Parallel instances only.
-	MaxShardRestarts int
 	// ShardBackoff is the base cooldown before a shard restart, doubling
 	// per consecutive fault (0 uses the default). Parallel instances only.
 	ShardBackoff time.Duration
@@ -373,7 +370,7 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	if t == nil {
 		return nil, fmt.Errorf("core: nil target")
 	}
-	if opts.Resilience != nil && mechanism != "closurex" {
+	if opts.Resilient && mechanism != "closurex" {
 		return nil, fmt.Errorf("core: the resilience ladder wraps only the closurex mechanism, not %q", mechanism)
 	}
 	variant := VariantFor(mechanism)
@@ -401,13 +398,13 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 		hopts = &h
 	}
 	// base is every process image's VM configuration; each image sets its
-	// own CovMap and RandSeed on a copy.
+	// own CovMap and RandSeed on a copy. Entropy is pinned whenever the
+	// sentinel or a resume needs executions to reproduce.
 	base := vm.Options{
 		Budget:            opts.Budget,
 		Files:             opts.Files,
 		ImagePages:        t.ImagePages,
-		DeterministicRand: opts.DeterministicRand,
-		TraceEdges:        opts.TraceEdges,
+		DeterministicRand: opts.DeterministicRand || opts.SentinelEvery > 0 || opts.ResumeFrom != nil,
 		Injector:          opts.Injector,
 		Sanitize:          opts.Sanitize.Enabled(),
 	}
@@ -419,8 +416,8 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	newMech := func(cov []byte, randSeed uint64) (execmgr.Mechanism, error) {
 		mcfg := execmgr.Config{Options: base, Module: mod, HarnessOpts: hopts}
 		mcfg.CovMap, mcfg.RandSeed = cov, randSeed
-		if opts.Resilience != nil {
-			return execmgr.NewResilient(mcfg, *opts.Resilience)
+		if opts.Resilient {
+			return execmgr.NewResilient(mcfg)
 		}
 		return execmgr.New(mechanism, mcfg)
 	}
@@ -428,15 +425,16 @@ func NewInstance(t *targets.Target, mechanism string, opts InstanceOptions) (*In
 	// replays each probe in a brand-new process image of the SAME
 	// instrumented module, so both coverage maps share probe geometry.
 	// Image pages are skipped: the reference models fresh semantics, not
-	// fresh cost. It neither traces edges nor injects faults. Its PRNG seed
-	// matches the probed mechanism's so rand()/heap-ASLR streams cannot
-	// masquerade as divergence (the §6.1.4 nondeterminism masking, done by
-	// construction).
+	// fresh cost. It does not inject faults. Its PRNG seed matches the
+	// probed mechanism's so the heap-ASLR base cannot masquerade as
+	// divergence (the §6.1.4 nondeterminism masking, done by construction).
+	// The persistent image's rand() stream still rolls forward across
+	// iterations while each reference image starts it afresh.
 	newSentinel := func(mech execmgr.Mechanism, randSeed uint64) (*fuzz.SentinelConfig, error) {
 		refCov := vm.NewCovMap()
 		rcfg := execmgr.Config{Options: base, Module: mod}
 		rcfg.CovMap, rcfg.RandSeed = refCov, randSeed
-		rcfg.ImagePages, rcfg.TraceEdges, rcfg.Injector = 0, false, nil
+		rcfg.ImagePages, rcfg.Injector = 0, nil
 		ref, rerr := execmgr.NewFresh(rcfg)
 		if rerr != nil {
 			return nil, fmt.Errorf("core: sentinel reference: %w", rerr)
@@ -541,9 +539,8 @@ func newParallelInstance(
 		Dict:        dict,
 		Stop:        opts.Stop,
 		Supervisor: fuzz.SupervisorConfig{
-			MaxRestarts: opts.MaxShardRestarts,
-			Backoff:     opts.ShardBackoff,
-			Injector:    opts.Injector,
+			Backoff:  opts.ShardBackoff,
+			Injector: opts.Injector,
 		},
 	}
 	if opts.SentinelEvery > 0 {

@@ -152,6 +152,45 @@ func TestForkserverDeterministicRandReproducible(t *testing.T) {
 	}
 }
 
+// heapASLRSource branches on the address malloc returns, so its path
+// depends on the heap-ASLR base a process image draws from its entropy.
+const heapASLRSource = `
+int main(void) {
+	int f = fopen("/input", "r");
+	if (!f) abort();
+	int a = fgetc(f);
+	fclose(f);
+	char *p = malloc(16);
+	int r = 2;
+	if (((int)p >> 4) & 1) r = 1;
+	free(p);
+	return r + a;
+}
+`
+
+// TestSentinelPinsEntropy arms the divergence sentinel without asking for
+// DeterministicRand: NewInstance must pin the entropy itself, or each
+// fresh reference image draws its own heap base and the address-dependent
+// branch reads as divergence on about half the probes.
+func TestSentinelPinsEntropy(t *testing.T) {
+	tg := &targets.Target{Name: "heap-aslr", Short: "heapaslr", Source: heapASLRSource,
+		Seeds: func() [][]byte { return [][]byte{[]byte("a"), []byte("b")} }, MaxInputLen: 16}
+	for seed := uint64(1); seed <= 4; seed++ {
+		inst, err := NewInstance(tg, "closurex", InstanceOptions{TrialSeed: seed, SentinelEvery: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Campaign.RunExecs(500)
+		if d := inst.Campaign.Divergences(); len(d) != 0 {
+			t.Fatalf("seed %d: sentinel reported %d divergences; first: %s", seed, len(d), d[0].Reason)
+		}
+		if inst.Campaign.EdgeSetProbes() == 0 {
+			t.Fatalf("seed %d: no sentinel probe compared a non-empty edge set", seed)
+		}
+		inst.Close()
+	}
+}
+
 func TestNewInstanceNilTarget(t *testing.T) {
 	if _, err := NewInstance(nil, "closurex", InstanceOptions{}); err == nil {
 		t.Fatal("nil target accepted")

@@ -60,8 +60,7 @@ func TestCovIndexInvariantMechanisms(t *testing.T) {
 			name := mech
 			if mech == "resilient" {
 				name = "closurex"
-				rc := execmgr.ResilienceConfig{WatchdogEvery: 16, MaxRebuilds: 2}
-				opts.Resilience = &rc
+				opts.Resilient = true
 				opts.Injector = faultinject.New(1)
 				opts.Injector.FailAfter(faultinject.RestoreGlobals, 50, -1)
 			}
@@ -107,7 +106,7 @@ func TestCovIndexInvariantShardRebuild(t *testing.T) {
 	}
 	inj := faultinject.New(1)
 	inj.FailAfter(faultinject.ForShard(faultinject.ShardRestore, 1), 500, 4)
-	opts := InstanceOptions{TrialSeed: 1, Jobs: 2, Injector: inj, MaxShardRestarts: 3, ShardBackoff: time.Millisecond}
+	opts := InstanceOptions{TrialSeed: 1, Jobs: 2, Injector: inj, ShardBackoff: time.Millisecond}
 	in, err := newParallelInstance(tg, mod, opts, newMech, nil, nil, "giftext@closurex")
 	if err != nil {
 		t.Fatal(err)

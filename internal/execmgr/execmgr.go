@@ -73,8 +73,6 @@ func New(name string, cfg Config) (Mechanism, error) {
 		return NewPersistentNaive(cfg)
 	case "closurex":
 		return NewClosureX(cfg)
-	case "closurex-resilient":
-		return NewResilient(cfg, DefaultResilienceConfig())
 	}
 	return nil, fmt.Errorf("execmgr: unknown mechanism %q", name)
 }

@@ -1,6 +1,7 @@
 package execmgr
 
 import (
+	"strings"
 	"testing"
 
 	"closurex/internal/ir"
@@ -69,6 +70,12 @@ func newMech(t *testing.T, name, src string) Mechanism {
 func TestUnknownMechanism(t *testing.T) {
 	if _, err := New("warp-drive", Config{}); err == nil {
 		t.Fatal("unknown mechanism accepted")
+	}
+	// The resilience ladder is an option of the closurex mechanism, not a
+	// mechanism name of its own.
+	m := buildModule(t, statefulSrc, true)
+	if _, err := New("closurex-resilient", Config{Module: m}); err == nil || !strings.Contains(err.Error(), "unknown mechanism") {
+		t.Fatalf("New(closurex-resilient) = %v, want an unknown-mechanism error", err)
 	}
 }
 

@@ -6,26 +6,22 @@ import (
 	"closurex/internal/vm"
 )
 
-// ResilienceConfig tunes the quarantine/rebuild/fallback ladder that keeps
-// a long-running persistent campaign alive when its restore machinery
+// The bounds of the quarantine/rebuild/fallback ladder that keeps a
+// long-running persistent campaign alive when its restore machinery
 // degrades (the failure mode harness-degradation studies show dominates
-// real-world long campaigns).
-type ResilienceConfig struct {
-	// WatchdogEvery runs harness.Verify after every N executions
-	// (default 64). The restore-error poll is per-execution regardless.
-	WatchdogEvery int
-	// MaxRebuilds is how many consecutive rebuild attempts are made before
-	// the mechanism degrades to a forkserver (default 3).
-	MaxRebuilds int
-	// BackoffBase is the watchdog cooldown, in executions, after the first
-	// rebuild; it doubles per consecutive failure (default WatchdogEvery).
-	BackoffBase int
-}
-
-// DefaultResilienceConfig returns the production ladder settings.
-func DefaultResilienceConfig() ResilienceConfig {
-	return ResilienceConfig{WatchdogEvery: 64, MaxRebuilds: 3}
-}
+// real-world long campaigns). They are constants so the ladder behaves the
+// same in every campaign.
+const (
+	// watchdogEvery runs harness.Verify after every N executions. The
+	// restore-error poll is per-execution regardless.
+	watchdogEvery = 64
+	// maxRebuilds is how many consecutive rebuild attempts are made before
+	// the mechanism degrades to a forkserver.
+	maxRebuilds = 3
+	// backoffBase is the watchdog cooldown, in executions, after the first
+	// rebuild; it doubles per consecutive failure.
+	backoffBase = watchdogEvery
+)
 
 // Event records one resilience action, for diagnostics and tests.
 type Event struct {
@@ -38,15 +34,14 @@ type Event struct {
 //
 //	restore error / watchdog violation
 //	    → quarantine the input, rebuild the process image (backoff)
-//	repeated failure (> MaxRebuilds consecutive)
+//	repeated failure (> maxRebuilds consecutive)
 //	    → degrade to ForkServer and keep the campaign running
 //
 // The fallback runs the same instrumented module against the same coverage
 // map, so campaign coverage stays monotone across the transition — the
 // campaign driver never notices beyond the throughput drop.
 type Resilient struct {
-	cfg  Config
-	rcfg ResilienceConfig
+	cfg Config
 
 	cx *ClosureX   // primary; released once degraded
 	fb *ForkServer // fallback; built on degrade
@@ -65,21 +60,12 @@ type Resilient struct {
 }
 
 // NewResilient builds the primary ClosureX mechanism under the ladder.
-func NewResilient(cfg Config, rcfg ResilienceConfig) (*Resilient, error) {
-	if rcfg.WatchdogEvery <= 0 {
-		rcfg.WatchdogEvery = 64
-	}
-	if rcfg.MaxRebuilds <= 0 {
-		rcfg.MaxRebuilds = 3
-	}
-	if rcfg.BackoffBase <= 0 {
-		rcfg.BackoffBase = rcfg.WatchdogEvery
-	}
+func NewResilient(cfg Config) (*Resilient, error) {
 	cx, err := NewClosureX(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Resilient{cfg: cfg, rcfg: rcfg, cx: cx}, nil
+	return &Resilient{cfg: cfg, cx: cx}, nil
 }
 
 // Name implements Mechanism.
@@ -113,7 +99,7 @@ func (r *Resilient) Execute(input []byte) vm.Result {
 		return res
 	}
 	r.sinceCheck++
-	if r.sinceCheck >= r.rcfg.WatchdogEvery {
+	if r.sinceCheck >= watchdogEvery {
 		r.sinceCheck = 0
 		if err := r.cx.Harness().Verify(); err != nil {
 			r.event("watchdog", err.Error())
@@ -153,13 +139,13 @@ func (r *Resilient) Degraded() bool { return r.degraded }
 // thrashing.
 func (r *Resilient) rebuild(reason string) {
 	r.consecFail++
-	if r.consecFail > r.rcfg.MaxRebuilds {
+	if r.consecFail > maxRebuilds {
 		r.degrade(fmt.Sprintf("%d consecutive rebuilds; last: %s", r.consecFail-1, reason))
 		return
 	}
 	r.cx.respawn()
 	r.rebuilds++
-	r.cooldown = r.rcfg.BackoffBase << (r.consecFail - 1)
+	r.cooldown = backoffBase << (r.consecFail - 1)
 	r.sinceCheck = 0
 	r.event("rebuild", reason)
 }

@@ -9,10 +9,10 @@ import (
 	"closurex/internal/vm"
 )
 
-func newResilient(t *testing.T, inj *faultinject.Injector, rcfg ResilienceConfig, cov []byte) *Resilient {
+func newResilient(t *testing.T, inj *faultinject.Injector, cov []byte) *Resilient {
 	t.Helper()
 	m := buildModule(t, statefulSrc, true)
-	r, err := NewResilient(Config{Module: m, Options: vm.Options{CovMap: cov, Injector: inj}}, rcfg)
+	r, err := NewResilient(Config{Module: m, Options: vm.Options{CovMap: cov, Injector: inj}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func newResilient(t *testing.T, inj *faultinject.Injector, rcfg ResilienceConfig
 
 func TestRestoreFailureQuarantinesAndRebuilds(t *testing.T) {
 	inj := faultinject.New(7)
-	r := newResilient(t, inj, ResilienceConfig{WatchdogEvery: 4, MaxRebuilds: 3}, nil)
+	r := newResilient(t, inj, nil)
 
 	if res := r.Execute([]byte("a")); res.Fault != nil || res.Ret != 100+'a' {
 		t.Fatalf("clean exec: %+v", res)
@@ -65,22 +65,23 @@ func TestRestoreFailureQuarantinesAndRebuilds(t *testing.T) {
 
 func TestWatchdogPassResetsFailureStreak(t *testing.T) {
 	inj := faultinject.New(8)
-	r := newResilient(t, inj, ResilienceConfig{WatchdogEvery: 1, MaxRebuilds: 2, BackoffBase: 1}, nil)
+	r := newResilient(t, inj, nil)
 
-	// Three isolated failures separated by clean watchdog passes. Were the
-	// streak not reset by a passing Verify, the third failure would push
-	// consecFail past MaxRebuilds=2 and degrade the mechanism.
-	for cycle := 0; cycle < 3; cycle++ {
+	// maxRebuilds+1 isolated failures separated by clean watchdog passes.
+	// Were the streak not reset by a passing Verify, the last failure would
+	// push consecFail past maxRebuilds and degrade the mechanism.
+	for cycle := 0; cycle < maxRebuilds+1; cycle++ {
 		inj.FailAfter(faultinject.RestoreGlobals, 0, 1)
 		r.Execute([]byte("b"))
-		for i := 0; i < 4; i++ { // drain cooldown, let the watchdog pass
+		// Drain the first rebuild's cooldown, then let the watchdog pass.
+		for i := 0; i < backoffBase+watchdogEvery; i++ {
 			if res := r.Execute([]byte("a")); res.Fault != nil || res.Ret != 100+'a' {
 				t.Fatalf("cycle %d clean exec %d: %+v", cycle, i, res)
 			}
 		}
 	}
-	if r.Rebuilds() != 3 {
-		t.Fatalf("Rebuilds = %d, want 3", r.Rebuilds())
+	if r.Rebuilds() != maxRebuilds+1 {
+		t.Fatalf("Rebuilds = %d, want %d", r.Rebuilds(), maxRebuilds+1)
 	}
 	if r.Degraded() {
 		t.Fatalf("isolated failures degraded the mechanism: %s", r.DegradedReason())
@@ -90,27 +91,28 @@ func TestWatchdogPassResetsFailureStreak(t *testing.T) {
 func TestPersistentFailureDegradesToForkServer(t *testing.T) {
 	inj := faultinject.New(9)
 	cov := make([]byte, 1<<16)
-	r := newResilient(t, inj, ResilienceConfig{WatchdogEvery: 4, MaxRebuilds: 2, BackoffBase: 1}, cov)
+	r := newResilient(t, inj, cov)
 
-	// Every restore fails from here on: rebuild, rebuild, then fall back.
+	// Every restore fails from here on: maxRebuilds rebuilds, then fall
+	// back.
 	inj.FailAfter(faultinject.RestoreGlobals, 0, -1)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxRebuilds+1; i++ {
 		r.Execute([]byte{byte('a' + i)})
 	}
 	if !r.Degraded() {
-		t.Fatalf("not degraded after MaxRebuilds+1 consecutive failures; events: %v", r.Events())
+		t.Fatalf("not degraded after maxRebuilds+1 consecutive failures; events: %v", r.Events())
 	}
 	if r.Name() != "closurex-resilient(forkserver)" {
 		t.Fatalf("Name = %q", r.Name())
 	}
-	if r.Rebuilds() != 2 {
-		t.Fatalf("Rebuilds = %d, want MaxRebuilds=2", r.Rebuilds())
+	if r.Rebuilds() != maxRebuilds {
+		t.Fatalf("Rebuilds = %d, want maxRebuilds=%d", r.Rebuilds(), maxRebuilds)
 	}
 	if !strings.Contains(r.DegradedReason(), "consecutive") {
 		t.Fatalf("DegradedReason = %q", r.DegradedReason())
 	}
-	if len(r.Quarantined()) != 3 {
-		t.Fatalf("Quarantined %d inputs, want 3", len(r.Quarantined()))
+	if len(r.Quarantined()) != maxRebuilds+1 {
+		t.Fatalf("Quarantined %d inputs, want %d", len(r.Quarantined()), maxRebuilds+1)
 	}
 
 	// The campaign continues on the fallback: correct isolation (runs==1
@@ -132,26 +134,15 @@ func TestPersistentFailureDegradesToForkServer(t *testing.T) {
 	if covered == 0 {
 		t.Fatal("fallback executions produce no coverage")
 	}
-	if r.Execs() != 13 {
-		t.Fatalf("Execs = %d, want 13", r.Execs())
-	}
-}
-
-func TestResilientAvailableByName(t *testing.T) {
-	m := buildModule(t, statefulSrc, true)
-	mech, err := New("closurex-resilient", Config{Module: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mech.Close()
-	if res := mech.Execute([]byte("a")); res.Fault != nil || res.Ret != 100+'a' {
-		t.Fatalf("exec: %+v", res)
+	if want := int64(maxRebuilds + 1 + 10); r.Execs() != want {
+		t.Fatalf("Execs = %d, want %d", r.Execs(), want)
 	}
 }
 
 func TestCrashDoesNotTripTheLadder(t *testing.T) {
-	r := newResilient(t, nil, ResilienceConfig{WatchdogEvery: 1, MaxRebuilds: 1}, nil)
-	for i := 0; i < 5; i++ {
+	r := newResilient(t, nil, nil)
+	// Crash for a full watchdog period so Verify runs on a respawned image.
+	for i := 0; i < watchdogEvery; i++ {
 		res := r.Execute([]byte("C")) // planted null deref
 		if res.Fault == nil {
 			t.Fatalf("exec %d: crash input did not crash", i)
@@ -174,7 +165,7 @@ func TestCrashDoesNotTripTheLadder(t *testing.T) {
 func TestCampaignSurvivesDegradation(t *testing.T) {
 	inj := faultinject.New(10)
 	cov := make([]byte, fuzz.MapSize)
-	r := newResilient(t, inj, ResilienceConfig{WatchdogEvery: 4, MaxRebuilds: 2, BackoffBase: 1}, cov)
+	r := newResilient(t, inj, cov)
 	inj.FailAfter(faultinject.RestoreGlobals, 0, -1)
 
 	camp := fuzz.NewCampaign(fuzz.Config{

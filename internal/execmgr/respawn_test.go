@@ -273,8 +273,7 @@ func TestTemplateStaysPristine(t *testing.T) {
 		inj := faultinject.New(2)
 		r, err := execmgr.NewResilient(execmgr.Config{Module: mod, HarnessOpts: hopts,
 			Options: vm.Options{CovMap: vm.NewCovMap(), ImagePages: tg.ImagePages,
-				DeterministicRand: true, Sanitize: sanitize, Injector: inj}},
-			execmgr.DefaultResilienceConfig())
+				DeterministicRand: true, Sanitize: sanitize, Injector: inj}})
 		if err != nil {
 			t.Fatal(err)
 		}

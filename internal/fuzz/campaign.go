@@ -114,9 +114,6 @@ func NewCampaign(cfg Config) *Campaign {
 	if cfg.MaxInputLen <= 0 {
 		cfg.MaxInputLen = 4096
 	}
-	if cfg.Sentinel != nil {
-		cfg.Sentinel.setDefaults()
-	}
 	rng := NewRNG(cfg.Seed)
 	mut := NewMutator(rng, cfg.MaxInputLen)
 	mut.SetDict(cfg.Dict)

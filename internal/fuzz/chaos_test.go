@@ -171,7 +171,7 @@ func TestChaosShardKillForeverQuarantines(t *testing.T) {
 func TestChaosRestoreCorruptRebuildLadder(t *testing.T) {
 	defer checkGoroutineLeak(t)()
 	inj := faultinject.New(3)
-	// MaxRestarts(3)+1 consecutive restore corruptions on shard 1: three
+	// maxShardRestarts(3)+1 consecutive restore corruptions on shard 1: three
 	// plain restarts, then the supervisor escalates to a mechanism rebuild;
 	// the fault clears and the shard recovers without quarantine.
 	inj.FailAfter(faultinject.ForShard(faultinject.ShardRestore, 1), 1000, 4)

@@ -249,28 +249,28 @@ func TestSentinelRoutesDivergencesIntoLadder(t *testing.T) {
 		Seeds:    [][]byte{{'a'}, {'b'}},
 		Seed:     9,
 		Sentinel: &SentinelConfig{
-			Reference:   &divergentRef{cov: refCov},
-			RefCovMap:   refCov,
-			Every:       10,
-			MaxFailures: 2,
-			Controller:  ctrl,
+			Reference:  &divergentRef{cov: refCov},
+			RefCovMap:  refCov,
+			Every:      10,
+			Controller: ctrl,
 		},
 	})
 	c.RunExecs(600)
 
 	divs := c.Divergences()
-	if len(divs) < 3 {
-		t.Fatalf("divergences = %d, want the full ladder (>=3)", len(divs))
+	if len(divs) < maxSentinelFailures+1 {
+		t.Fatalf("divergences = %d, want the full ladder (>=%d)", len(divs), maxSentinelFailures+1)
 	}
 	for _, d := range divs {
 		if !strings.Contains(d.Reason, "result") {
 			t.Fatalf("divergence reason %q, want a result mismatch", d.Reason)
 		}
 	}
-	// Ladder: failures 1 and 2 ask for rebuilds, failure 3 exceeds
-	// MaxFailures=2 and degrades; once degraded, no further requests.
-	if ctrl.rebuilds != 2 || ctrl.degrades != 1 {
-		t.Fatalf("controller saw %d rebuilds, %d degrades; want 2, 1", ctrl.rebuilds, ctrl.degrades)
+	// Ladder: failures 1 to 3 ask for rebuilds, failure 4 exceeds
+	// maxSentinelFailures=3 and degrades; once degraded, no further
+	// requests.
+	if ctrl.rebuilds != maxSentinelFailures || ctrl.degrades != 1 {
+		t.Fatalf("controller saw %d rebuilds, %d degrades; want %d, 1", ctrl.rebuilds, ctrl.degrades, maxSentinelFailures)
 	}
 	if len(c.Quarantined()) == 0 {
 		t.Fatal("divergent entries were not quarantined")

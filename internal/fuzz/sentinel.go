@@ -9,7 +9,7 @@ import (
 // Controller is the campaign's handle on the execution mechanism's
 // quarantine/rebuild/fallback ladder (implemented by execmgr.Resilient).
 // The sentinel routes divergences into it: each divergence triggers one
-// rebuild of the persistent image; a streak longer than MaxFailures
+// rebuild of the persistent image; a streak longer than maxSentinelFailures
 // degrades the mechanism to its fallback.
 type Controller interface {
 	// Rebuild asks for one rebuild of the persistent process image.
@@ -35,20 +35,15 @@ type SentinelConfig struct {
 	RefCovMap []byte
 	// Every is the probe period in campaign executions (0 disables).
 	Every int64
-	// MaxFailures bounds consecutive divergent probes before the sentinel
-	// gives up on rebuilds and degrades the mechanism (default 3).
-	MaxFailures int
 	// Controller receives rebuild/degrade requests; nil means the sentinel
 	// only records divergences (observation mode — how the PersistentNaive
 	// pathology demonstration runs).
 	Controller Controller
 }
 
-func (s *SentinelConfig) setDefaults() {
-	if s.MaxFailures <= 0 {
-		s.MaxFailures = 3
-	}
-}
+// maxSentinelFailures bounds consecutive divergent probes before the
+// sentinel gives up on rebuilds and degrades the mechanism.
+const maxSentinelFailures = 3
 
 // Divergence records one sentinel probe whose persistent-mechanism replay
 // disagreed with the fresh-process reference.
@@ -119,7 +114,7 @@ func (c *Campaign) sentinelProbe() {
 	c.quarantineEntry(e)
 	c.sentFails++
 	if ctrl := s.Controller; ctrl != nil && !ctrl.Degraded() {
-		if c.sentFails > s.MaxFailures {
+		if c.sentFails > maxSentinelFailures {
 			ctrl.Degrade(fmt.Sprintf("sentinel: %d consecutive divergences; last: %s", c.sentFails, reason))
 		} else {
 			ctrl.Rebuild("sentinel: " + reason)

@@ -8,7 +8,7 @@ package fuzz
 //	fault
 //	    → restart the shard loop with exponential backoff (campaign state —
 //	      queue, RNG, bitmap — survives; only the segment died)
-//	repeated fault (> MaxRestarts consecutive)
+//	repeated fault (> maxShardRestarts consecutive)
 //	    → rebuild the execution mechanism in place through its
 //	      Rebuild(reason) method: a fresh fork of its post-init template
 //	      (execmgr.Resilient climbs its own ladder instead); an executor
@@ -44,13 +44,13 @@ import (
 // sound.
 const inboxCap = 4096
 
+// maxShardRestarts is how many consecutive plain restarts a shard gets
+// before the supervisor escalates to a mechanism rebuild; one more fault
+// after the rebuild quarantines the shard permanently.
+const maxShardRestarts = 3
+
 // SupervisorConfig tunes the per-shard supervision ladder.
 type SupervisorConfig struct {
-	// MaxRestarts is how many consecutive plain restarts a shard gets
-	// before the supervisor escalates to a mechanism rebuild; one more
-	// fault after the rebuild quarantines the shard permanently
-	// (default 3).
-	MaxRestarts int
 	// Backoff is the cooldown before the first restart; it doubles per
 	// consecutive fault (default 2ms — shards are in-process goroutines,
 	// not OS processes, so the base is small).
@@ -69,9 +69,6 @@ type SupervisorConfig struct {
 }
 
 func (s *SupervisorConfig) setDefaults() {
-	if s.MaxRestarts <= 0 {
-		s.MaxRestarts = 3
-	}
 	if s.Backoff <= 0 {
 		s.Backoff = 2 * time.Millisecond
 	}
@@ -281,10 +278,10 @@ func (p *ParallelCampaign) supervise(sh *shard, fn func(*shard)) {
 		h.restarts.Add(1)
 		p.eventf(sh.id, sh.c.execs, "fault", "%s (streak %d)", h.getLastFault(), faults)
 		switch {
-		case faults <= int64(p.sup.MaxRestarts):
+		case faults <= maxShardRestarts:
 			p.eventf(sh.id, sh.c.execs, "restart", "backoff %v", p.backoffFor(faults))
 			p.backoffWait(p.backoffFor(faults))
-		case faults == int64(p.sup.MaxRestarts)+1 && p.rebuildShard(sh):
+		case faults == maxShardRestarts+1 && p.rebuildShard(sh):
 			p.backoffWait(p.backoffFor(faults))
 		default:
 			p.quarantineShard(sh)

@@ -158,7 +158,7 @@ func TestShardRebuildKeepsFuzzerLive(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.FailAfter(faultinject.ForShard(faultinject.ShardRestore, 0), 500, 4)
 	in, err := core.NewInstance(&tg, "closurex", core.InstanceOptions{
-		TrialSeed: 1, Jobs: 2, Injector: inj, MaxShardRestarts: 3, ShardBackoff: time.Millisecond,
+		TrialSeed: 1, Jobs: 2, Injector: inj, ShardBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
