@@ -61,13 +61,14 @@ staticcheck:
 
 # Sanitizer gate: the seeded-defect detection and differential suites, the
 # shadow-plane and elision-analysis unit tests (including the shadow model
-# property test and the harness's allocation gate on shadow rollback), a
+# property test, the harness's allocation gate on shadow rollback and its
+# heap page return, which runs just before the shadow rollback), a
 # 200-iteration smoke run of the shadow benchmarks so they keep building
 # and running, and the strict lint run with sanitizer instrumentation
 # armed (CLX111-113 + per-function elision report over every registered
 # target).
 sanitize:
-	$(GO) test -run 'Sanitiz|Shadow|Quarantine|Elision|Elide' . ./internal/mem/ ./internal/harness/ ./internal/passes/ ./internal/core/ ./internal/analysis/sanitize/
+	$(GO) test -run 'Sanitiz|Shadow|Quarantine|Elision|Elide|RestoreReturnsHeapPages' . ./internal/mem/ ./internal/harness/ ./internal/passes/ ./internal/core/ ./internal/analysis/sanitize/
 	$(GO) test -run '^$$' -bench Shadow -benchtime 200x ./internal/mem/
 	$(GO) run ./cmd/closurex-lint -q -strict -target all -sanitize-report
 

@@ -322,7 +322,7 @@ func NewClosureX(cfg Config) (*ClosureX, error) {
 // respawn replaces the running image with a fresh fork of the template.
 func (c *ClosureX) respawn() {
 	if c.h != nil {
-		c.h.VM().Release()
+		c.h.Release()
 	}
 	c.h = c.tmpl.Fork()
 	c.spawns++
@@ -357,8 +357,8 @@ func (c *ClosureX) Rebuild(string) { c.respawn() }
 
 // Close implements Mechanism.
 func (c *ClosureX) Close() {
-	c.h.VM().Release()
-	c.tmpl.VM().Release()
+	c.h.Release()
+	c.tmpl.Release()
 }
 
 // countCalls counts direct calls of name in the module.

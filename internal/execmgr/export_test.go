@@ -19,3 +19,6 @@ func (p *PersistentNaive) Image() *vm.VM { return p.child }
 
 // Image exposes the snapshotted child.
 func (s *SnapshotLKM) Image() *vm.VM { return s.child }
+
+// Template exposes the image a forkserver forks every child from.
+func (f *ForkServer) Template() *vm.VM { return f.template }

@@ -2,13 +2,17 @@ package execmgr_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"closurex/internal/core"
 	"closurex/internal/execmgr"
 	"closurex/internal/ir"
 	"closurex/internal/targets"
+	"closurex/internal/vfs"
 	"closurex/internal/vm"
 )
 
@@ -22,9 +26,10 @@ type imaged interface {
 // shard supervisor escalates to. For every target, a persistent mechanism
 // that has run every seed and bug trigger has its surviving image
 // scribbled over (every writable globals byte, a leaked chunk, an open
-// descriptor) and is rebuilt; from then on it must give the same Result
-// and coverage map, input for input, as a never-used mechanism over the
-// same template, and the rebuild must count as exactly one spawn.
+// descriptor) and is rebuilt; from then on it must give the same Result,
+// coverage map, files and descriptor table, input for input, as a
+// never-used mechanism over the same template, and the rebuild must count
+// as exactly one spawn.
 func TestMechanismRebuildMatchesFreshTemplate(t *testing.T) {
 	for _, mech := range []string{"closurex", "persistent-naive", "snapshot-lkm"} {
 		for _, tg := range targets.All() {
@@ -61,6 +66,9 @@ func TestMechanismRebuildMatchesFreshTemplate(t *testing.T) {
 				freshCov := vm.NewCovMap()
 				fresh := build(freshCov)
 				defer fresh.Close()
+				if got, want := fsState(used.Image().FS), fsState(fresh.Image().FS); got != want {
+					t.Fatalf("rebuilt image's files and descriptors:\n%s\nnever-used:\n%s", got, want)
+				}
 				for i, in := range inputs {
 					clear(cov)
 					clear(freshCov)
@@ -71,10 +79,42 @@ func TestMechanismRebuildMatchesFreshTemplate(t *testing.T) {
 					if !bytes.Equal(cov, freshCov) {
 						t.Fatalf("input %d: coverage maps differ", i)
 					}
+					if got, want := fsState(used.Image().FS), fsState(fresh.Image().FS); got != want {
+						t.Fatalf("input %d: rebuilt image's files and descriptors:\n%s\nnever-used:\n%s", i, got, want)
+					}
 				}
 			})
 		}
 	}
+}
+
+// fsState describes a filesystem through its public surface: every
+// file's bytes, then each live descriptor's number, kind, position and
+// file size, then the open and leak counters.
+func fsState(fs *vfs.FS) string {
+	var b strings.Builder
+	files := fs.Snapshot()
+	paths := make([]string, 0, len(files))
+	for p := range files {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	for _, p := range paths {
+		fmt.Fprintf(&b, "file %s %q\n", p, files[p])
+	}
+	for _, kind := range []string{"init", "leaked"} {
+		fds := fs.InitFDs()
+		if kind == "leaked" {
+			fds = fs.LeakedFDs()
+		}
+		for _, fd := range fds {
+			pos, perr := fs.Tell(fd)
+			size, serr := fs.Size(fd)
+			fmt.Fprintf(&b, "fd %d %s pos %d (%v) size %d (%v)\n", fd, kind, pos, perr, size, serr)
+		}
+	}
+	fmt.Fprintf(&b, "opens %d leaked %d elided %d", fs.TotalOpens(), fs.LeakedCount(), fs.ElidedLeakCount())
+	return b.String()
 }
 
 // dirty scribbles over v's writable globals, leaks a heap chunk and leaves

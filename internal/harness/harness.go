@@ -5,7 +5,9 @@
 // harness restores exactly the test-case-execution-specific state:
 //
 //	restore_global_sections()   — byte-copy closure_global_section back
-//	reset_heap_memory()         — free every chunk left in the chunk map
+//	reset_heap_memory()         — free every chunk left in the chunk map and
+//	                              give back the heap pages the test case
+//	                              touched, which read zero again
 //	close_open_file_handles()   — close leaked FDs, rewind init-time FDs
 package harness
 
@@ -107,6 +109,10 @@ type Stats struct {
 	// subset that found drift outside the may-write scope (AuditEvery).
 	AuditRuns     int64
 	AuditFailures int64
+	// PagesReturned counts heap pages the restores unmapped: pages the
+	// iteration's allocations touched above the post-init bump pointer,
+	// which read zero again and whose frames go back to the free list.
+	PagesReturned int64
 }
 
 // Harness wraps a VM whose module went through the ClosureX pipeline.
@@ -115,6 +121,9 @@ type Harness struct {
 	opts       Options
 	globalSnap []byte
 	stats      Stats
+	// heapFloor is the heap's bump pointer after deferred init: the heap
+	// pages a restore gives back all lie at or above it.
+	heapFloor uint64
 	// incremental reports that the dirty-page watch is armed on the closure
 	// section (IncrementalRestore requested and the section exists).
 	incremental bool
@@ -147,6 +156,17 @@ type Harness struct {
 	// restoreErr is the first error the most recent restore hit; the
 	// resilience layer drains it via TakeRestoreError after each iteration.
 	restoreErr error
+	// spare is shared by a harness and every fork of it: the buffers the
+	// last released fork gave back, for the next Fork. Nil until the first
+	// Fork; not locked, like the VM's.
+	spare *harnessSpare
+}
+
+// harnessSpare is the storage a released fork hands on.
+type harnessSpare struct {
+	verifyBuf    []byte
+	chunkScratch []mem.Chunk
+	fdScratch    []int
 }
 
 // New prepares the harness: runs the module's deferred-initialization
@@ -168,6 +188,7 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 		}
 	}
 	v.Heap.MarkInit()
+	h.heapFloor = v.Heap.Brk()
 	v.FS.MarkInit()
 	if sh := v.Heap.Shadow(); sh != nil && opts.ResetHeap {
 		// Ground truth for the sanitizer planes: init-time poison (redzones
@@ -208,22 +229,46 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 // elision ranges, and re-arms the closure-section write watch, which
 // vm.Fork does not carry. Its stats start at zero. h must sit at a
 // restore boundary; a template harness that never runs a test case
-// always does.
+// always does. The child's buffers are the ones the last released fork
+// of h (or of its forks) gave back, when there are any.
 func (h *Harness) Fork() *Harness {
+	if h.spare == nil {
+		h.spare = new(harnessSpare)
+	}
+	sp := h.spare
 	c := &Harness{
-		v:           h.v.Fork(),
-		opts:        h.opts,
-		globalSnap:  h.globalSnap,
-		verifyBuf:   make([]byte, len(h.globalSnap)),
-		shadowSnap:  h.shadowSnap,
-		quarSnap:    h.quarSnap,
-		elide:       h.elide,
-		elideRanges: h.elideRanges,
+		v:            h.v.Fork(),
+		opts:         h.opts,
+		globalSnap:   h.globalSnap,
+		heapFloor:    h.heapFloor,
+		verifyBuf:    sp.verifyBuf,
+		chunkScratch: sp.chunkScratch,
+		fdScratch:    sp.fdScratch,
+		shadowSnap:   h.shadowSnap,
+		quarSnap:     h.quarSnap,
+		elide:        h.elide,
+		elideRanges:  h.elideRanges,
+		spare:        sp,
+	}
+	*sp = harnessSpare{}
+	if c.verifyBuf == nil {
+		c.verifyBuf = make([]byte, len(h.globalSnap))
 	}
 	if h.incremental {
 		c.incremental = c.v.WatchSection(ir.SectionClosure)
 	}
 	return c
+}
+
+// Release tears the harness down with its image (see vm.VM.Release):
+// its buffers go to the next Fork of the harness it was forked from. The
+// harness is unusable afterwards.
+func (h *Harness) Release() {
+	h.v.Release()
+	if h.spare != nil {
+		*h.spare = harnessSpare{verifyBuf: h.verifyBuf, chunkScratch: h.chunkScratch[:0], fdScratch: h.fdScratch[:0]}
+	}
+	h.v, h.verifyBuf, h.chunkScratch, h.fdScratch = nil, nil, nil, nil
 }
 
 // Incremental reports whether the dirty-tracking restore fast path is
@@ -356,6 +401,7 @@ func (h *Harness) Restore() error {
 						ErrWatchdog, ErrAudit, elidedLeaks))
 				}
 			}
+			h.returnHeapPages()
 			if h.shadowSnap != nil {
 				// Order matters: freeing leaked chunks above poisons their
 				// spans, and those poison writes land on the dirty list —
@@ -407,6 +453,26 @@ func (h *Harness) Restore() error {
 		return fmt.Errorf("%w: %w", ErrRestore, firstErr)
 	}
 	return nil
+}
+
+// returnHeapPages gives back the heap memory this iteration's allocations
+// touched above the post-init bump pointer, now that the sweep has freed
+// it: whole pages are unmapped, so the image's resident set does not grow
+// with the campaign, and the partial page at the low end is cleared, so
+// all of it reads zero as in a fresh image. The bump pointer itself still
+// advances from iteration to iteration.
+func (h *Harness) returnHeapPages() {
+	lo, hi := h.v.Heap.TakeTouched(h.heapFloor)
+	if lo >= hi {
+		return
+	}
+	hi = (hi + mem.PageSize - 1) &^ (mem.PageSize - 1)
+	if edge := (lo + mem.PageSize - 1) &^ (mem.PageSize - 1); edge > lo {
+		// Cannot fail: a heap range passes checkAddr, and Zero only
+		// privatizes pages already mapped, which the page limit allows.
+		_ = h.v.Mem.Zero(lo, int(edge-lo))
+	}
+	h.stats.PagesReturned += int64(h.v.Mem.Discard(lo, int(hi-lo)))
 }
 
 // Verify is the restore watchdog: it validates the post-restore invariants

@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"closurex/internal/faultinject"
@@ -18,6 +19,11 @@ type Heap struct {
 	base uint64
 	end  uint64
 	brk  uint64 // bump pointer
+
+	// touchLo/touchHi bound the addresses allocations have handed out
+	// since the last TakeTouched, redzones included; touchLo >= touchHi
+	// when there were none.
+	touchLo, touchHi uint64
 
 	// chunks holds live allocations sorted by start address; parsers
 	// allocate tens of chunks per execution, so a sorted slice with binary
@@ -108,6 +114,7 @@ func NewHeap(m *Memory, base, end uint64) *Heap {
 		base:          base,
 		end:           end,
 		brk:           base,
+		touchLo:       math.MaxUint64,
 		quarantineCap: defaultQuarantine,
 	}
 }
@@ -269,6 +276,12 @@ func (h *Heap) Alloc(size uint64) (uint64, error) {
 	} else {
 		h.brk = addr + rounded + chunkAlign
 	}
+	if addr < h.touchLo {
+		h.touchLo = addr
+	}
+	if e := addr + rounded + chunkAlign; e > h.touchHi {
+		h.touchHi = e
+	}
 	c := Chunk{Addr: addr, Size: size, AllocFn: h.siteFn, AllocLine: h.siteLine, Elided: h.siteElide}
 	h.siteFn, h.siteLine, h.siteElide = "", 0, false
 	i := sort.Search(len(h.chunks), func(i int) bool { return h.chunks[i].Addr > addr })
@@ -308,6 +321,22 @@ func (h *Heap) firstFit(rounded uint64) (uint64, bool) {
 		return prevEnd + chunkAlign, true
 	}
 	return 0, false
+}
+
+// TakeTouched returns the dead memory around the span allocations have
+// handed out since the last call, and starts a new, empty span. The
+// returned [lo, hi) runs from the start of the span's first page, but not
+// below floor or the end of the highest live chunk, to the span's end; lo
+// >= hi when nothing was handed out above those bounds. No live chunk
+// lies at or above lo, so the rest of hi's page is dead too.
+func (h *Heap) TakeTouched(floor uint64) (lo, hi uint64) {
+	lo, hi = max(h.touchLo&^(PageSize-1), floor), h.touchHi
+	h.touchLo, h.touchHi = math.MaxUint64, 0
+	if n := len(h.chunks); n > 0 {
+		c := h.chunks[n-1] // the highest: chunks are sorted and disjoint
+		lo = max(lo, c.Addr+(c.Size+chunkAlign-1)&^uint64(chunkAlign-1))
+	}
+	return lo, hi
 }
 
 // AllocZeroed allocates and clears size bytes (calloc).
@@ -461,6 +490,7 @@ func (h *Heap) Reset() {
 	h.chunks = h.chunks[:0]
 	h.quarantine = h.quarantine[:0]
 	h.brk = h.base
+	h.touchLo, h.touchHi = math.MaxUint64, 0
 	h.bytesAllocated = 0
 	if h.shadow != nil {
 		h.shadow = NewShadow(h.shadow.base, h.shadow.end)
@@ -481,6 +511,7 @@ func (h *Heap) Clone(m *Memory) *Heap {
 		base:           h.base,
 		end:            h.end,
 		brk:            h.brk,
+		touchLo:        math.MaxUint64,
 		quarantineCap:  h.quarantineCap,
 		bytesAllocated: h.bytesAllocated,
 		inj:            h.inj,

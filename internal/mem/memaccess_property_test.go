@@ -8,9 +8,9 @@ import (
 
 // ReadUint, WriteUint, Zero and LoadByte, the interpreter's accessors,
 // must behave like a flat byte array per image across forks, snapshot
-// restores and the watch window: every read returns what the model holds,
-// no write reaches a page a fork shares, and the watch window records
-// exactly the watched pages written. The reads walk the dense directory in
+// restores, Discard and the watch window: every read returns what the
+// model holds, no write reaches a page a fork shares, and the watch window
+// records exactly the watched pages written or discarded. The reads walk the dense directory in
 // line and fall back to the page table's slow path past it, so the
 // addresses also land on both sides of a table boundary (511/512), in a
 // table past the highest one mapped so far (2563, in table 5; 1025 then
@@ -93,7 +93,7 @@ func (c *accessChecker) step(who string, im *accessImage, readOnly bool) {
 	c.t.Helper()
 	c.op++
 	a := c.addr()
-	op := c.rng.Intn(7)
+	op := c.rng.Intn(8)
 	if readOnly {
 		op = []int{0, 1, 4}[op%3]
 	}
@@ -158,11 +158,27 @@ func (c *accessChecker) step(who string, im *accessImage, readOnly bool) {
 			im.f.bytes[a+uint64(i)] = b
 		}
 		im.noteWrite(a, len(buf), true)
+	case 7: // Discard: the whole pages inside the range read zero, unmapped
+		n := c.rng.Intn(3 * PageSize)
+		if c.rng.Intn(2) == 0 {
+			a, n = a&^(PageSize-1), PageSize*(1+c.rng.Intn(2))
+		}
+		for pn := (a + PageSize - 1) >> PageShift; pn < (a+uint64(n))>>PageShift; pn++ {
+			if !im.f.mapped[pn] {
+				continue
+			}
+			im.noteWrite(pn<<PageShift, PageSize, false)
+			delete(im.f.mapped, pn)
+			for i := uint64(0); i < PageSize; i++ {
+				delete(im.f.bytes, pn<<PageShift+i)
+			}
+		}
+		im.m.Discard(a, n)
 	}
 }
 
 // checkWatch compares the watch window's dirty list with the model.
-func (c *accessChecker) checkWatch(im *accessImage) {
+func (c *accessChecker) checkWatch(who string, im *accessImage) {
 	c.t.Helper()
 	got := slices.Clone(im.m.WatchedDirty())
 	slices.Sort(got)
@@ -172,7 +188,7 @@ func (c *accessChecker) checkWatch(im *accessImage) {
 	}
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
-		c.fail("parent", "WatchedDirty = %v, written watched pages %v", got, want)
+		c.fail(who, "WatchedDirty = %v, written watched pages %v", got, want)
 	}
 }
 
@@ -199,8 +215,12 @@ func TestMemoryAccessProperty(t *testing.T) {
 			}
 			switch c.rng.Intn(4) {
 			case 0: // fork, write both sides, tear the child down
-				ch := &accessImage{m: p.m.Fork(), f: p.f.clone()}
+				// The child watches as a harness fork does, in window
+				// storage an earlier child's Release may have left.
+				ch := &accessImage{m: p.m.Fork(), f: p.f.clone(), watchLo: 2, watch: 66, dirty: map[uint64]bool{}}
+				ch.m.Watch(2<<PageShift, 64<<PageShift)
 				c.mixed(40, p, ch, false)
+				c.checkWatch("child", ch)
 				ch.m.Release()
 			case 1: // snapshot child restored against its parent
 				// The parent is the snapshot, so it only reads until the
@@ -219,13 +239,13 @@ func TestMemoryAccessProperty(t *testing.T) {
 				p.dirty = map[uint64]bool{}
 			case 3: // close the watch window and start a new one
 				if p.watch != 0 {
-					c.checkWatch(p)
+					c.checkWatch("parent", p)
 					p.m.ResetWatch()
 					p.dirty = map[uint64]bool{}
 				}
 			}
 			if p.watch != 0 {
-				c.checkWatch(p)
+				c.checkWatch("parent", p)
 			}
 		}
 	}

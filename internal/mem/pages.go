@@ -122,6 +122,9 @@ type freeList struct {
 	frames []*page
 	tables []*table
 	dirs   [][]*table
+	// watchBits/watchList are the last released image's watch window
+	// storage, for the next Watch.
+	watchBits, watchList []uint64
 }
 
 // pop removes and returns the last entry of a free list, or nil when it
@@ -326,7 +329,12 @@ func (m *Memory) Release() {
 	if fl != nil && m.dir != nil {
 		fl.dirs = append(fl.dirs, m.dir)
 	}
+	if fl != nil && m.watchBits != nil {
+		fl.watchBits, fl.watchList = m.watchBits, m.watchList
+	}
 	m.dir, m.far, m.resident = nil, nil, 0
+	m.dirty = m.dirty[:0]
+	m.watchBits, m.watchList = nil, nil
 }
 
 // unref drops one reference to pg, a frame this image no longer maps. The
@@ -407,7 +415,18 @@ func (m *Memory) Watch(addr, size uint64) {
 	}
 	m.watchLo = addr >> PageShift
 	m.watchHi = (addr + size + PageSize - 1) >> PageShift
-	m.watchBits = make([]uint64, (m.watchHi-m.watchLo+63)/64)
+	n := (m.watchHi - m.watchLo + 63) / 64
+	if fl := m.free; fl != nil && uint64(cap(fl.watchBits)) >= n {
+		// A released image's window storage, as Release left it.
+		m.watchBits = fl.watchBits[:n]
+		clear(m.watchBits)
+		if cap(fl.watchList) > cap(m.watchList) {
+			m.watchList = fl.watchList
+		}
+		fl.watchBits, fl.watchList = nil, nil
+	} else {
+		m.watchBits = make([]uint64, n)
+	}
 	m.watchList = m.watchList[:0]
 }
 
@@ -458,30 +477,76 @@ func (m *Memory) TrackDirty(on bool) {
 func (m *Memory) DirtyPages() int { return len(m.dirty) }
 
 // RestoreTo undoes every dirty page against the snapshot parent: pages the
-// parent also maps are re-shared copy-on-write, pages the parent lacks are
-// unmapped. Cost is O(dirty pages) — the kernel-snapshot restore path,
+// parent also maps are re-shared copy-on-write (a page this image
+// discarded included), pages the parent lacks are unmapped. Cost is
+// O(dirty pages) — the kernel-snapshot restore path,
 // cheaper than a fork (O(all resident pages)) but page-granular, unlike
 // ClosureX's byte-granular restoration.
 func (m *Memory) RestoreTo(parent *Memory) {
 	for _, pn := range m.dirty {
-		t := m.table(pn >> tableShift)
-		if t == nil {
-			continue // released since it was dirtied
+		tn, i := pn>>tableShift, pn&tableMask
+		t := m.table(tn)
+		var pg *page
+		if t != nil {
+			pg = t[i]
 		}
-		pg := t[pn&tableMask]
 		tp := parent.frame(pn)
-		if pg == nil || pg == tp {
+		if pg == tp {
 			continue // duplicate dirty entry already handled
 		}
-		m.unref(pg)
-		t[pn&tableMask] = tp
+		if pg != nil {
+			m.unmap(t, i)
+		}
 		if tp != nil {
+			if t == nil {
+				t = m.newTable(tn)
+			}
+			t[i] = tp
 			tp.refs++
-		} else {
-			m.resident--
+			m.resident++
 		}
 	}
 	m.dirty = m.dirty[:0]
+}
+
+// unmap drops the mapped entry i of table t: the frame loses this image's
+// reference and the page reads zero until it is next written.
+func (m *Memory) unmap(t *table, i uint64) {
+	m.unref(t[i])
+	t[i] = nil
+	m.resident--
+}
+
+// Discard unmaps every whole page inside [addr, addr+n), as madvise's
+// MADV_DONTNEED does, and reports how many were mapped. Each frame loses
+// this image's reference: a frame a fork still maps stays the fork's, and
+// one that loses its last reference goes onto the free list. The page
+// reads zero until it is next written. A partial page at either end of the
+// range keeps its bytes: callers clear those with Zero. A discarded page
+// counts as written for the watch window and for RestoreTo, which maps
+// the parent's page back.
+func (m *Memory) Discard(addr uint64, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	lo := (addr + PageSize - 1) >> PageShift
+	hi := (addr + uint64(n)) >> PageShift
+	dropped := 0
+	for pn := lo; pn < hi; pn++ {
+		t := m.table(pn >> tableShift)
+		if t == nil || t[pn&tableMask] == nil {
+			continue
+		}
+		m.unmap(t, pn&tableMask)
+		dropped++
+		if m.watchBits != nil {
+			m.markWatched(pn)
+		}
+		if m.trackDirty {
+			m.dirty = append(m.dirty, pn)
+		}
+	}
+	return dropped
 }
 
 func checkAddr(addr uint64, n int) error {

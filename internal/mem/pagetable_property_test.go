@@ -11,7 +11,10 @@ import (
 // The page table must behave like a flat byte array per image, whatever
 // mix of writes, forks (of forks), releases in any order and snapshot
 // restores runs against it, and every frame's reference count must equal
-// the number of live images that map it. Released frames and tables are
+// the number of live images that map it. Discard unmaps the whole pages of
+// a range and leaves partial ones alone: a discarded page reads zero, a
+// frame a fork still maps keeps the fork's reference, and one whose last
+// reference goes lands on the free list. Released frames and tables are
 // recycled through the free list forks share: a frame on it has no
 // references, is mapped by no live image and is listed once, and a frame
 // drawn from it reads as the model says — zero on a first touch, the
@@ -102,6 +105,9 @@ type ptChecker struct {
 	// single-page writes served by a recycled frame: first touches and
 	// copy-on-write faults
 	recycledZero, recycledCoW int
+	// discarded frames a fork still mapped, and frames whose last
+	// reference the discard dropped
+	discardShared, discardLast int
 }
 
 // writeFault is what a write to one page does to an image's table.
@@ -188,7 +194,7 @@ func (c *ptChecker) expectWrite(what string, err error, ok bool) {
 func (c *ptChecker) step() {
 	c.t.Helper()
 	c.op++
-	switch c.rng.Intn(12) {
+	switch c.rng.Intn(13) {
 	case 0, 1: // StoreByte
 		im := c.pickWritable()
 		if im == nil {
@@ -296,11 +302,61 @@ func (c *ptChecker) step() {
 		im.m.TrackDirty(false)
 		im.snapOf.frozen--
 		im.snapOf = nil
+	case 12: // Discard, often whole pages
+		im := c.pickWritable()
+		if im == nil {
+			return
+		}
+		a, n := c.addr(), c.rng.Intn(3*PageSize)
+		if c.rng.Intn(2) == 0 {
+			a, n = a&^(PageSize-1), PageSize*(1+c.rng.Intn(2))
+		}
+		c.discard(im, a, n)
 	}
 	if len(c.live) == 0 {
 		c.live = append(c.live, c.newRoot())
 	}
 	c.check()
+}
+
+// discard runs Discard(a, n) on im and checks what it did to the frames
+// of the whole pages inside the range; check then compares the image with
+// the model.
+func (c *ptChecker) discard(im *ptImage, a uint64, n int) {
+	c.t.Helper()
+	type mapped struct {
+		pg   *page
+		refs int32
+	}
+	var whole []mapped
+	for pn := (a + PageSize - 1) >> PageShift; pn < (a+uint64(n))>>PageShift; pn++ {
+		if pg := im.m.frame(pn); pg != nil {
+			whole = append(whole, mapped{pg, pg.refs})
+			delete(im.pages, pn)
+		}
+	}
+	before, free := im.m.Pages(), freeFrames(im)
+	if got := im.m.Discard(a, n); got != len(whole) {
+		c.fail("Discard(%#x, %d) = %d, model maps %d whole pages there", a, n, got, len(whole))
+	}
+	if im.m.Pages() != before-len(whole) {
+		c.fail("Discard(%#x, %d): Pages %d -> %d, want %d fewer", a, n, before, im.m.Pages(), len(whole))
+	}
+	freed := 0
+	for _, w := range whole {
+		switch {
+		case w.pg.refs != w.refs-1:
+			c.fail("a discarded frame has refs %d, had %d", w.pg.refs, w.refs)
+		case w.refs > 1:
+			c.discardShared++
+		default:
+			c.discardLast++
+			freed++
+		}
+	}
+	if im.m.free != nil && freeFrames(im) != free+freed {
+		c.fail("Discard(%#x, %d) freed %d frames, the free list grew by %d", a, n, freed, freeFrames(im)-free)
+	}
 }
 
 func (c *ptChecker) newRoot() *ptImage {
@@ -381,7 +437,7 @@ func (c *ptChecker) checkFree(maps map[*page]int32) {
 }
 
 func TestPageTableProperty(t *testing.T) {
-	var limitHit, forkOfFork, restores, recycledZero, recycledCoW int
+	var limitHit, forkOfFork, restores, recycledZero, recycledCoW, discardShared, discardLast int
 	for seed := int64(1); seed <= 40; seed++ {
 		c := &ptChecker{t: t, rng: rand.New(rand.NewSource(seed))}
 		c.live = []*ptImage{c.newRoot()}
@@ -393,11 +449,15 @@ func TestPageTableProperty(t *testing.T) {
 		restores += c.restores
 		recycledZero += c.recycledZero
 		recycledCoW += c.recycledCoW
+		discardShared += c.discardShared
+		discardLast += c.discardLast
 	}
-	if limitHit == 0 || forkOfFork == 0 || restores == 0 || recycledZero == 0 || recycledCoW == 0 {
+	if limitHit == 0 || forkOfFork == 0 || restores == 0 || recycledZero == 0 || recycledCoW == 0 ||
+		discardShared == 0 || discardLast == 0 {
 		t.Fatalf("vacuous run: %d writes reached the page limit, %d forks of forks, %d restores, "+
-			"%d first touches and %d copy-on-write faults on recycled frames",
-			limitHit, forkOfFork, restores, recycledZero, recycledCoW)
+			"%d first touches and %d copy-on-write faults on recycled frames, "+
+			"%d shared and %d last-reference frames discarded",
+			limitHit, forkOfFork, restores, recycledZero, recycledCoW, discardShared, discardLast)
 	}
 	t.Logf("%d first touches and %d copy-on-write faults on recycled frames", recycledZero, recycledCoW)
 }

@@ -82,12 +82,23 @@ type FS struct {
 	// open/close-per-test-case cycle does not allocate. Entries are only
 	// reachable through fds, so a closed entry has no outstanding aliases.
 	free []*OpenFile
+	// freeFiles recycles the file objects, buffers included, of a released
+	// clone this FS was rebuilt from (see Release), for WriteFile and Open
+	// to fill.
+	freeFiles []*file
+	// spare is shared by an FS and every clone of it: the last released
+	// clone, for the next Clone to rebuild instead of allocating a new FS.
+	// Nil until the first Clone. Like mem's free list it is not locked.
+	spare *fsSpare
 	// nLeaked / nElidedLeak are running counts of live non-init (and
 	// additionally elided) descriptors, so the harness's per-iteration
 	// leak audits are O(1) instead of descriptor-table scans.
 	nLeaked     int
 	nElidedLeak int
 }
+
+// fsSpare holds the storage a released clone hands on.
+type fsSpare struct{ fs *FS }
 
 // New returns an empty filesystem with the default descriptor limit.
 func New() *FS {
@@ -107,7 +118,19 @@ func (fs *FS) SetInjector(inj *faultinject.Injector) { fs.inj = inj }
 
 // WriteFile creates or replaces a file.
 func (fs *FS) WriteFile(path string, data []byte) {
-	fs.files[path] = &file{data: append([]byte(nil), data...)}
+	fs.files[path] = fs.newFile(data)
+}
+
+// newFile returns a file holding a copy of data, from freeFiles first.
+func (fs *FS) newFile(data []byte) *file {
+	n := len(fs.freeFiles)
+	if n == 0 {
+		return &file{data: append([]byte(nil), data...)}
+	}
+	f := fs.freeFiles[n-1]
+	fs.freeFiles = fs.freeFiles[:n-1]
+	*f = file{data: append(f.data[:0], data...)}
+	return f
 }
 
 // SetInput installs the test case at InputPath. When no live descriptor
@@ -150,7 +173,7 @@ func (fs *FS) Open(path, mode string) (int, error) {
 	f, ok := fs.files[path]
 	switch {
 	case !ok && (mode == "w" || mode == "a"):
-		f = &file{}
+		f = fs.newFile(nil)
 		fs.files[path] = f
 	case !ok:
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
@@ -159,14 +182,8 @@ func (fs *FS) Open(path, mode string) (int, error) {
 	}
 	fd := fs.nextFD
 	fs.nextFD++
-	var of *OpenFile
-	if n := len(fs.free); n > 0 {
-		of = fs.free[n-1]
-		fs.free = fs.free[:n-1]
-		*of = OpenFile{FD: fd, Path: path, f: f}
-	} else {
-		of = &OpenFile{FD: fd, Path: path, f: f}
-	}
+	of := fs.newOpenFile()
+	*of = OpenFile{FD: fd, Path: path, f: f}
 	if mode == "a" {
 		of.pos = len(f.data)
 	}
@@ -175,6 +192,18 @@ func (fs *FS) Open(path, mode string) (int, error) {
 	fs.nLeaked++ // fresh descriptors are never init-persistent
 	fs.opens++
 	return fd, nil
+}
+
+// newOpenFile returns a descriptor entry for the caller to fill, from
+// the free list first.
+func (fs *FS) newOpenFile() *OpenFile {
+	n := len(fs.free)
+	if n == 0 {
+		return new(OpenFile)
+	}
+	of := fs.free[n-1]
+	fs.free = fs.free[:n-1]
+	return of
 }
 
 func (fs *FS) lookup(fd int) (*OpenFile, error) {
@@ -385,29 +414,52 @@ func (fs *FS) Reset(keep map[string][]byte) {
 }
 
 // Clone duplicates the filesystem view and descriptor table (forkserver
-// child). File contents are copied lazily only for open files' backing
-// stores; the cheap map copies model fd-table duplication in fork().
+// child): every file's contents are copied, and each descriptor is
+// duplicated at its position, as fork() duplicates the fd table. The
+// clone is rebuilt from the storage of the last released clone of fs (or
+// of its clones) when there is one: its struct, maps, file objects and
+// their buffers, and descriptor entries.
 func (fs *FS) Clone() *FS {
-	nf := &FS{
-		files:       make(map[string]*file, len(fs.files)),
-		fds:         make(map[int]*OpenFile, len(fs.fds)),
-		nextFD:      fs.nextFD,
-		fdLimit:     fs.fdLimit,
-		opens:       fs.opens,
-		inj:         fs.inj,
-		nLeaked:     fs.nLeaked,
-		nElidedLeak: fs.nElidedLeak,
+	if fs.spare == nil {
+		fs.spare = new(fsSpare)
 	}
+	nf := fs.spare.fs
+	fs.spare.fs = nil
+	if nf == nil {
+		nf = &FS{files: make(map[string]*file, len(fs.files)), fds: make(map[int]*OpenFile, len(fs.fds))}
+	}
+	nf.nextFD, nf.fdLimit, nf.opens, nf.inj = fs.nextFD, fs.fdLimit, fs.opens, fs.inj
+	nf.nLeaked, nf.nElidedLeak, nf.spare = fs.nLeaked, fs.nElidedLeak, fs.spare
 	for p, f := range fs.files {
-		nf.files[p] = &file{data: append([]byte(nil), f.data...)}
+		nf.files[p] = nf.newFile(f.data)
 	}
 	for fd, of := range fs.fds {
-		cp := *of
+		cp := nf.newOpenFile()
+		*cp = *of
 		cp.f = nf.files[of.Path]
 		cp.f.refs++
-		nf.fds[fd] = &cp
+		nf.fds[fd] = cp
 	}
 	return nf
+}
+
+// Release ends the life of a clone (process tear-down): its maps, file
+// objects and descriptor entries go to the next Clone of the FS it was
+// cloned from. The FS must not be used afterwards. Release does nothing
+// to an FS that is no clone and was never cloned.
+func (fs *FS) Release() {
+	if fs.spare == nil {
+		return
+	}
+	for _, f := range fs.files {
+		fs.freeFiles = append(fs.freeFiles, f)
+	}
+	clear(fs.files)
+	for _, of := range fs.fds {
+		fs.free = append(fs.free, of)
+	}
+	clear(fs.fds)
+	fs.spare.fs = fs
 }
 
 // Snapshot captures every file's contents (for dataflow-equivalence

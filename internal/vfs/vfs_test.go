@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +206,56 @@ func TestCloneIsolation(t *testing.T) {
 	_, _ = cl.Write(w, []byte("clone-only"))
 	if _, err := fs.ReadFile("/new"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("clone write leaked into parent")
+	}
+}
+
+// TestReleasedCloneRebuildsAsTemplate: a clone rebuilt from a released
+// one holds the template's files and descriptors only, whatever the
+// released clone wrote, opened or leaked, and a forkserver child's
+// filesystem cycle does not allocate.
+func TestReleasedCloneRebuildsAsTemplate(t *testing.T) {
+	fs := New()
+	fs.WriteFile("/cfg", []byte("config"))
+	fs.SetInput([]byte("parent input"))
+	fd, _ := fs.Open("/cfg", "r")
+	_, _ = fs.Getc(fd)
+	fs.MarkInit()
+	use := func(cl *FS) {
+		cl.SetInput([]byte("a longer child input"))
+		w, _ := cl.Open("/out", "w")
+		_, _ = cl.Write(w, []byte("child output"))
+		in, _ := cl.Open(InputPath, "r")
+		_, _ = cl.Getc(in)
+		_, _ = cl.Getc(fd)
+		cl.WriteFile("/cfg", []byte("overwritten"))
+	}
+	use(fs.Clone())
+	cl := fs.Clone() // a fresh clone: no released one yet
+	use(cl)
+	cl.Release()
+	got := fs.Clone()
+	if !reflect.DeepEqual(got.Snapshot(), fs.Snapshot()) {
+		t.Fatalf("rebuilt clone's files %q, template's %q", got.Snapshot(), fs.Snapshot())
+	}
+	if got.OpenCount() != 1 || got.LeakedCount() != 0 || got.TotalOpens() != fs.TotalOpens() {
+		t.Fatalf("rebuilt clone: %d open, %d leaked, %d opens; want 1, 0, %d",
+			got.OpenCount(), got.LeakedCount(), got.TotalOpens(), fs.TotalOpens())
+	}
+	if pos, err := got.Tell(fd); err != nil || pos != 1 {
+		t.Fatalf("rebuilt clone's init descriptor at %d (%v), want 1", pos, err)
+	}
+	if c, err := got.Getc(fd); err != nil || c != 'o' {
+		t.Fatalf("rebuilt clone reads %c (%v) through the init descriptor, want o", c, err)
+	}
+	got.Release()
+	if n := testing.AllocsPerRun(20, func() {
+		cl := fs.Clone()
+		cl.SetInput([]byte("a test case"))
+		in, _ := cl.Open(InputPath, "r")
+		_, _ = cl.Getc(in)
+		cl.Release()
+	}); n != 0 {
+		t.Fatalf("clone, input install, open and release allocate %v times, want 0", n)
 	}
 }
 

@@ -265,9 +265,9 @@ func (v *VM) SetInput(data []byte) { v.FS.SetInput(data) }
 // heap-ASLR base is always inherited, as a real fork() does. The child has
 // no section watch window (see mem.Memory.Fork); harness.Fork re-arms it.
 //
-// The child's frames, page tables, register frames and buffers come from
-// what released forks of v (or of its forks) gave back, as a kernel
-// recycles a dead process's pages. Forks of one template must therefore
+// The child's frames, page tables, register frames, buffers and
+// filesystem storage come from what released forks of v (or of its
+// forks) gave back, as a kernel recycles a dead process's pages. Forks of one template must therefore
 // be forked, run and released on one goroutine at a time.
 func (v *VM) Fork() *VM {
 	if v.spare == nil {
@@ -303,14 +303,15 @@ func (v *VM) Fork() *VM {
 	return child
 }
 
-// Release tears the image down: its pages, page tables and heap
-// bookkeeping go back to the template's free lists (see Fork), and so do
-// its register frames and buffers. The image is unusable afterwards: Mem,
-// Heap and FS are nil, so a use after release panics instead of
+// Release tears the image down: its pages, page tables, heap bookkeeping
+// and filesystem go back to the template's free lists (see Fork), and so
+// do its register frames and buffers. The image is unusable afterwards:
+// Mem, Heap and FS are nil, so a use after release panics instead of
 // aliasing the storage of the next fork.
 func (v *VM) Release() {
 	v.Mem.Release()
 	v.Heap.Release()
+	v.FS.Release()
 	if v.spare != nil {
 		*v.spare = vmSpare{regPool: v.regPool, argPool: v.argPool, scratch: v.scratch, stdout: v.Stdout[:0]}
 	}
@@ -326,6 +327,7 @@ func (v *VM) RestoreFromSnapshot(template *VM) {
 	v.Mem.RestoreTo(template.Mem)
 	v.Heap.Release()
 	v.Heap = template.Heap.Clone(v.Mem)
+	v.FS.Release()
 	v.FS = template.FS.Clone()
 	v.sp = template.sp
 	v.Stdout = v.Stdout[:0]
