@@ -181,12 +181,12 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreDirtyTracking isolates the dirty-tracking incremental
-// restore against the original full byte-copy on a 512-page (2 MiB)
-// closure_global_section of which each execution dirties a single page.
-// The restored state is byte-identical either way (the watchdog Verify
-// checks it below); only the copy-back bandwidth differs. restore-B/op is
-// the per-iteration number of section bytes actually copied.
+// BenchmarkRestoreDirtyTracking measures the global restore on a 512-page
+// (2 MiB) closure_global_section of which each execution dirties a single
+// page: the harness copies back only the dirtied page. The watchdog Verify
+// below checks the restored state is byte-identical to the snapshot.
+// restore-B/op is the per-iteration number of section bytes actually
+// copied.
 func BenchmarkRestoreDirtyTracking(b *testing.B) {
 	// 262144 8-byte ints = 2 MiB = 512 pages of writable globals.
 	const src = `
@@ -203,45 +203,33 @@ int main(void) {
 	return 0;
 }
 `
-	for name, incremental := range map[string]bool{
-		"incremental": true,
-		"full-copy":   false,
-	} {
-		b.Run(name, func(b *testing.B) {
-			mod, err := core.Build("dirty.c", src, core.ClosureX)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v, err := vm.New(mod, vm.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := harness.FullRestore()
-			opts.IncrementalRestore = incremental
-			h, err := harness.New(v, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if h.Incremental() != incremental {
-				b.Fatalf("incremental restore armed=%v, want %v", h.Incremental(), incremental)
-			}
-			input := []byte{42}
-			for i := 0; i < 8; i++ {
-				h.RunOne(input)
-			}
-			before := h.Stats().GlobalBytes
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.RunOne(input)
-			}
-			b.StopTimer()
-			copied := h.Stats().GlobalBytes - before
-			b.ReportMetric(float64(copied)/float64(b.N), "restore-B/op")
-			if err := h.Verify(); err != nil {
-				b.Fatalf("restored state drifted: %v", err)
-			}
-		})
+	mod, err := core.Build("dirty.c", src, core.ClosureX)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := vm.New(mod, vm.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := harness.New(v, harness.FullRestore())
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := []byte{42}
+	for i := 0; i < 8; i++ {
+		h.RunOne(input)
+	}
+	before := h.Stats().GlobalBytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.RunOne(input)
+	}
+	b.StopTimer()
+	copied := h.Stats().GlobalBytes - before
+	b.ReportMetric(float64(copied)/float64(b.N), "restore-B/op")
+	if err := h.Verify(); err != nil {
+		b.Fatalf("restored state drifted: %v", err)
 	}
 }
 
@@ -249,12 +237,18 @@ int main(void) {
 // (Figures 4 and 5): one leaky gpmf iteration with each restoration step
 // isolated.
 func BenchmarkFigRestore(b *testing.B) {
+	full := harness.FullRestore()
+	only := func(globals, heap, files bool) harness.Options {
+		opts := full
+		opts.RestoreGlobals, opts.ResetHeap, opts.CloseFiles = globals, heap, files
+		return opts
+	}
 	configs := map[string]harness.Options{
-		"full":         harness.FullRestore(),
-		"globals-only": {RestoreGlobals: true},
-		"heap-only":    {ResetHeap: true},
-		"files-only":   {CloseFiles: true},
-		"none":         {},
+		"full":         full,
+		"globals-only": only(true, false, false),
+		"heap-only":    only(false, true, false),
+		"files-only":   only(false, false, true),
+		"none":         only(false, false, false),
 	}
 	leaky := append([]byte("TMPC"), 'l', 4, 0, 1, 0, 3, 13, 64)
 	for name, opts := range configs {

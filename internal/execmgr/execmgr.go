@@ -24,8 +24,7 @@ import (
 // Config describes how to run a target under any mechanism.
 type Config struct {
 	// Options configures every VM the mechanism builds: template, forks
-	// and respawns. Options.Injector also arms the harness restore paths
-	// when HarnessOpts leaves its own Injector nil.
+	// and respawns. Options.Injector also arms the harness restore steps.
 	vm.Options
 	// Module must already be instrumented (at minimum RenameMainPass +
 	// CoveragePass; the ClosureX mechanism additionally requires the full
@@ -305,9 +304,6 @@ func NewClosureX(cfg Config) (*ClosureX, error) {
 	opts := harness.FullRestore()
 	if cfg.HarnessOpts != nil {
 		opts = *cfg.HarnessOpts
-	}
-	if opts.Injector == nil {
-		opts.Injector = cfg.Injector
 	}
 	tmpl, err := harness.New(v, opts)
 	if err != nil {

@@ -238,7 +238,7 @@ func checkForkedRespawn(t *testing.T, rc respawnCase, mod *ir.Module, hopts *har
 	if d := diffImages(imageOf(got.VM()), imageOf(want.VM())); d != "" {
 		t.Fatalf("respawned image differs from a fresh one: %s", d)
 	}
-	if got.Incremental() != want.Incremental() || got.ElisionActive() != want.ElisionActive() ||
+	if got.ElisionActive() != want.ElisionActive() || got.ElisionRangeBytes() != want.ElisionRangeBytes() ||
 		got.GlobalSnapshotSize() != want.GlobalSnapshotSize() {
 		t.Fatal("respawned harness restores differently from a fresh one")
 	}

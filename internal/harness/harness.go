@@ -46,14 +46,7 @@ type Options struct {
 	RestoreGlobals bool
 	ResetHeap      bool
 	CloseFiles     bool
-	// IncrementalRestore arms page-granular dirty tracking on
-	// closure_global_section: the restore step copies back only the pages
-	// the execution actually wrote instead of the whole snapshot. Restored
-	// state is byte-identical either way (the watchdog and the divergence
-	// sentinel cross-check it continuously); the flag only changes the
-	// restore-path bandwidth. Disabled means the original full byte-copy.
-	IncrementalRestore bool
-	// ElideRestore scopes the global snapshot/restore/watchdog work to the
+	// ElideRestore scopes the global restore and watchdog work to the
 	// byte ranges the interprocedural analysis proved may be written
 	// (ir.Module.Interproc). It is a no-op — the full section is restored
 	// as before — when the module carries no metadata or the analysis
@@ -66,16 +59,11 @@ type Options struct {
 	// iterations, repairing and reporting an ErrAudit on any drift the
 	// elided restore would have missed. Zero disables auditing.
 	AuditEvery int
-	// Injector arms deterministic fault injection in the restore paths
-	// (resilience tests); nil injects nothing.
-	Injector *faultinject.Injector
 }
 
-// FullRestore enables every restoration step, with the dirty-tracking
-// incremental restore fast path armed.
+// FullRestore enables every restoration step.
 func FullRestore() Options {
-	return Options{RestoreGlobals: true, ResetHeap: true, CloseFiles: true,
-		IncrementalRestore: true}
+	return Options{RestoreGlobals: true, ResetHeap: true, CloseFiles: true}
 }
 
 // Stats counts restoration work, for the overhead-breakdown figure.
@@ -86,19 +74,10 @@ type Stats struct {
 	FDsClosed    int64
 	FDsRewound   int64
 	ExitsUnwound int64 // iterations that ended via the exit hook
-	// IncrRestores counts restores that went through the dirty-tracking
-	// fast path; GlobalBytes then reflects only dirty bytes, which is the
-	// bandwidth saving the fast path exists for.
-	IncrRestores int64
 	// ShadowPagesRestored counts shadow-plane pages rolled back to the
 	// init-time snapshot across all restores (-sanitize only). The shadow
-	// restore piggybacks on the same dirty-tracking idea as the closure
-	// section's incremental restore.
+	// restore tracks dirty pages as the closure section's restore does.
 	ShadowPagesRestored int64
-	// GlobalBytesElided counts bytes the scoped full-copy restore skipped
-	// relative to a whole-section copy (ElideRestore, non-incremental
-	// path) — the elision bandwidth saving.
-	GlobalBytesElided int64
 	// ElidedLeaks/ElidedFDLeaks count proof violations the restore sweeps
 	// observed: chunks from must-free allocation sites (respectively
 	// descriptors from must-close fopen sites) still live after a
@@ -124,9 +103,6 @@ type Harness struct {
 	// heapFloor is the heap's bump pointer after deferred init: the heap
 	// pages a restore gives back all lie at or above it.
 	heapFloor uint64
-	// incremental reports that the dirty-page watch is armed on the closure
-	// section (IncrementalRestore requested and the section exists).
-	incremental bool
 	// verifyBuf is the reusable post-run section snapshot Verify compares
 	// against globalSnap — preallocated once so the watchdog does not
 	// allocate a fresh section copy on every periodic check.
@@ -141,12 +117,14 @@ type Harness struct {
 	// persistent state — is test-case-execution-specific.
 	shadowSnap *mem.ShadowSnapshot
 	quarSnap   []mem.Chunk
+	// scope lists the section-relative byte ranges Restore copies back
+	// (on dirtied pages) and Verify compares: the whole section, or, when
+	// elide is set, the merged ranges the analysis proved may be written.
 	// elide is set when ElideRestore was requested AND the module's
-	// interproc metadata bounds the may-write set; elideRanges are the
-	// merged section-relative byte ranges restore/verify then scope to
-	// (possibly empty: a target that writes no globals restores none).
-	elide       bool
-	elideRanges []vm.ByteRange
+	// interproc metadata bounds the may-write set. An elided scope may be
+	// empty: a target that writes no globals restores none.
+	scope []vm.ByteRange
+	elide bool
 	// lastCrashed records whether the most recent execution ended in a
 	// fault; the elided-leak censuses skip crashed iterations, whose
 	// targets never reached their free/fclose paths by construction.
@@ -201,11 +179,12 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 	if snap, ok := v.SnapshotSection(ir.SectionClosure); ok {
 		h.globalSnap = snap
 		h.verifyBuf = make([]byte, len(snap))
-		if opts.IncrementalRestore && opts.RestoreGlobals {
+		h.scope = []vm.ByteRange{{Lo: 0, Hi: uint64(len(snap))}}
+		if opts.RestoreGlobals {
 			// Arm the write barrier exactly at snapshot time: every write
 			// from here on is a candidate for copy-back, so the dirty set is
 			// complete by construction.
-			h.incremental = v.WatchSection(ir.SectionClosure)
+			v.WatchSection(ir.SectionClosure)
 		}
 		if opts.ElideRestore && opts.RestoreGlobals && v.MaxBudget() <= ir.InterprocBudgetCap {
 			// Scope restore work to the analysis-proven may-write ranges.
@@ -215,7 +194,7 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 			// void the analysis' wraparound argument, so elision stays off.
 			if ranges, rok := v.ElisionRanges(ir.SectionClosure); rok {
 				h.elide = true
-				h.elideRanges = ranges
+				h.scope = ranges
 			}
 		}
 	}
@@ -226,7 +205,7 @@ func New(v *vm.VM, opts Options) (*Harness, error) {
 // analogue of AFL++ forking a new persistent child from the post-
 // __AFL_INIT point. The child does not re-run deferred init: it shares
 // h's read-only closure-section, shadow and quarantine snapshots and its
-// elision ranges, and re-arms the closure-section write watch, which
+// restore scope, and re-arms the closure-section write watch, which
 // vm.Fork does not carry. Its stats start at zero. h must sit at a
 // restore boundary; a template harness that never runs a test case
 // always does. The child's buffers are the ones the last released fork
@@ -246,16 +225,16 @@ func (h *Harness) Fork() *Harness {
 		fdScratch:    sp.fdScratch,
 		shadowSnap:   h.shadowSnap,
 		quarSnap:     h.quarSnap,
+		scope:        h.scope,
 		elide:        h.elide,
-		elideRanges:  h.elideRanges,
 		spare:        sp,
 	}
 	*sp = harnessSpare{}
 	if c.verifyBuf == nil {
 		c.verifyBuf = make([]byte, len(h.globalSnap))
 	}
-	if h.incremental {
-		c.incremental = c.v.WatchSection(ir.SectionClosure)
+	if h.opts.RestoreGlobals {
+		c.v.WatchSection(ir.SectionClosure)
 	}
 	return c
 }
@@ -270,10 +249,6 @@ func (h *Harness) Release() {
 	}
 	h.v, h.verifyBuf, h.chunkScratch, h.fdScratch = nil, nil, nil, nil
 }
-
-// Incremental reports whether the dirty-tracking restore fast path is
-// active.
-func (h *Harness) Incremental() bool { return h.incremental }
 
 // VM exposes the underlying machine (correctness study probes).
 func (h *Harness) VM() *vm.VM { return h.v }
@@ -291,11 +266,8 @@ func (h *Harness) ElisionActive() bool { return h.elide }
 // ElisionRangeBytes reports how many closure-section bytes fall inside
 // the may-write scope (equals GlobalSnapshotSize when elision is off).
 func (h *Harness) ElisionRangeBytes() int {
-	if !h.elide {
-		return len(h.globalSnap)
-	}
 	n := 0
-	for _, r := range h.elideRanges {
+	for _, r := range h.scope {
 		n += int(r.Hi - r.Lo)
 	}
 	return n
@@ -350,28 +322,17 @@ func (h *Harness) Restore() error {
 			firstErr = err
 		}
 	}
-	inj := h.opts.Injector
+	// The VM arms its heap with vm.Options.Injector, and forks carry it.
+	inj := h.v.Heap.Injector()
 	if h.opts.RestoreGlobals && h.globalSnap != nil {
 		if inj.Should(faultinject.RestoreGlobals) {
 			// The dirty set is deliberately NOT reset on an injected
 			// failure: a retry (Restore is idempotent) still knows which
 			// pages to copy back.
 			fail(faultinject.Err(faultinject.RestoreGlobals))
-		} else if h.elide && h.incremental {
-			copied, _ := h.v.RestoreSectionDirtyRanges(ir.SectionClosure, h.globalSnap, h.elideRanges)
-			h.stats.GlobalBytes += int64(copied)
-			h.stats.IncrRestores++
-		} else if h.elide {
-			copied, _ := h.v.RestoreSectionRanges(ir.SectionClosure, h.globalSnap, h.elideRanges)
-			h.stats.GlobalBytes += int64(copied)
-			h.stats.GlobalBytesElided += int64(len(h.globalSnap) - copied)
-		} else if h.incremental {
-			copied, _ := h.v.RestoreSectionDirty(ir.SectionClosure, h.globalSnap)
-			h.stats.GlobalBytes += int64(copied)
-			h.stats.IncrRestores++
 		} else {
-			h.v.RestoreSection(ir.SectionClosure, h.globalSnap)
-			h.stats.GlobalBytes += int64(len(h.globalSnap))
+			copied, _ := h.v.RestoreSectionDirty(ir.SectionClosure, h.globalSnap, h.scope)
+			h.stats.GlobalBytes += int64(copied)
 		}
 	}
 	if h.opts.ResetHeap {
@@ -503,20 +464,15 @@ func (h *Harness) Verify() error {
 			return fmt.Errorf("%w: %s vanished", ErrWatchdog, ir.SectionClosure)
 		}
 		h.verifyBuf = cur
-		if h.elide {
-			// Provably-clean globals leave the equality scope: the analysis
-			// says the target cannot write them, so checking them every
-			// watchdog tick buys nothing — Audit re-checks the full section
-			// on its own (cheaper) cadence to keep the proofs honest.
-			for _, r := range h.elideRanges {
-				if !bytes.Equal(cur[r.Lo:r.Hi], h.globalSnap[r.Lo:r.Hi]) {
-					return fmt.Errorf("%w: %s differs from snapshot inside may-write range [%d,%d)",
-						ErrWatchdog, ir.SectionClosure, r.Lo, r.Hi)
-				}
+		// Under elision, provably-clean globals leave the equality scope:
+		// the analysis says the target cannot write them, so checking them
+		// every watchdog tick buys nothing — Audit re-checks the full
+		// section on its own (cheaper) cadence to keep the proofs honest.
+		for _, r := range h.scope {
+			if a, b := cur[r.Lo:r.Hi], h.globalSnap[r.Lo:r.Hi]; !bytes.Equal(a, b) {
+				return fmt.Errorf("%w: %s differs from snapshot in [%d,%d) (%d bytes)",
+					ErrWatchdog, ir.SectionClosure, r.Lo, r.Hi, diffBytes(a, b))
 			}
-		} else if !bytes.Equal(cur, h.globalSnap) {
-			return fmt.Errorf("%w: %s differs from snapshot (%d bytes)",
-				ErrWatchdog, ir.SectionClosure, diffBytes(cur, h.globalSnap))
 		}
 	}
 	if h.opts.CloseFiles {
@@ -557,8 +513,8 @@ func (h *Harness) Audit() error {
 	}
 	h.stats.AuditFailures++
 	n := diffBytes(cur, h.globalSnap)
-	// Repair: whole-section copy-back, exactly what a non-elided restore
-	// would have done. The image is clean again; the proof is not.
+	// Repair: a whole-section copy-back. The image is clean again; the
+	// proof is not.
 	h.v.RestoreSection(ir.SectionClosure, h.globalSnap)
 	return fmt.Errorf("%w: %w: %s drifted %d bytes outside the audited restore scope (repaired)",
 		ErrWatchdog, ErrAudit, ir.SectionClosure, n)

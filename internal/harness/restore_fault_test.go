@@ -7,8 +7,8 @@ import (
 	"closurex/internal/vm"
 )
 
-// newFaultyHarness builds a harness over statefulSrc with inj armed in both
-// the VM (heap/files) and the restore paths.
+// newFaultyHarness builds a harness over statefulSrc on a VM with inj
+// armed, which reaches the heap, the files and the harness restore steps.
 func newFaultyHarness(t *testing.T, inj *faultinject.Injector) *Harness {
 	t.Helper()
 	m := buildInstrumented(t, statefulSrc)
@@ -16,9 +16,7 @@ func newFaultyHarness(t *testing.T, inj *faultinject.Injector) *Harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := FullRestore()
-	opts.Injector = inj
-	h, err := New(v, opts)
+	h, err := New(v, FullRestore())
 	if err != nil {
 		t.Fatal(err)
 	}

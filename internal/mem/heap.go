@@ -122,6 +122,9 @@ func NewHeap(m *Memory, base, end uint64) *Heap {
 // SetInjector arms fault injection for this heap (nil disarms).
 func (h *Heap) SetInjector(inj *faultinject.Injector) { h.inj = inj }
 
+// Injector returns the armed fault injector, nil when none.
+func (h *Heap) Injector() *faultinject.Injector { return h.inj }
+
 // AttachShadow arms the ASan-style shadow plane over the heap span. Call
 // after Shift so the plane's base matches the randomized allocation base.
 func (h *Heap) AttachShadow() {

@@ -9,6 +9,7 @@ package vfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"closurex/internal/faultinject"
@@ -270,17 +271,21 @@ func (fs *FS) Getc(fd int) (int, error) {
 	return int(b), nil
 }
 
-// Write appends/overwrites at the descriptor's position.
+// Write appends/overwrites at the descriptor's position. A write that
+// starts past the end of the file leaves the gap reading zeros.
 func (fs *FS) Write(fd int, src []byte) (int, error) {
 	of, err := fs.lookup(fd)
 	if err != nil {
 		return 0, err
 	}
 	end := of.pos + len(src)
-	if end > len(of.f.data) {
-		grown := make([]byte, end)
-		copy(grown, of.f.data)
-		of.f.data = grown
+	if n := len(of.f.data); end > n {
+		// Grow within the buffer's capacity when it has room; a recycled
+		// buffer holds stale bytes there, so the gap is cleared.
+		of.f.data = slices.Grow(of.f.data, end-n)[:end]
+		if of.pos > n {
+			clear(of.f.data[n:of.pos])
+		}
 	}
 	copy(of.f.data[of.pos:], src)
 	of.pos = end
@@ -454,10 +459,17 @@ func (fs *FS) Release() {
 	for _, f := range fs.files {
 		fs.freeFiles = append(fs.freeFiles, f)
 	}
-	clear(fs.files)
 	for _, of := range fs.fds {
+		// A file WriteFile or Remove took off its path while a descriptor
+		// held it is reached only through descriptors; zeroing refs lists
+		// it once however many of them share it.
+		if f := of.f; f.refs > 0 && fs.files[of.Path] != f {
+			fs.freeFiles = append(fs.freeFiles, f)
+			f.refs = 0
+		}
 		fs.free = append(fs.free, of)
 	}
+	clear(fs.files)
 	clear(fs.fds)
 	fs.spare.fs = fs
 }

@@ -259,6 +259,63 @@ func TestReleasedCloneRebuildsAsTemplate(t *testing.T) {
 	}
 }
 
+// TestReleasedCloneRecyclesWrittenAndReplacedFiles: a forkserver child
+// that extends a file and replaces one under two open descriptors hands
+// every file object and buffer on at release, each once, so the next
+// cycle does not allocate and no two files share a buffer. Contents keep
+// one length so any recycled buffer fits any role.
+func TestReleasedCloneRecyclesWrittenAndReplacedFiles(t *testing.T) {
+	fs := New()
+	fs.WriteFile("/cfg", []byte("config"))
+	fd, _ := fs.Open("/cfg", "r")
+	fs.MarkInit()
+	cycle := func() {
+		cl := fs.Clone()
+		w, _ := cl.Open("/out", "w")
+		_, _ = cl.Write(w, []byte("output"))
+		_, _ = cl.Open("/cfg", "r")
+		cl.WriteFile("/cfg", []byte("CONFIG"))
+		if c, err := cl.Getc(fd); err != nil || c != 'c' {
+			t.Fatalf("the descriptor reads %c (%v) after /cfg was replaced, want c", c, err)
+		}
+		cl.Release()
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("clone, write, replace and release allocate %v times, want 0", n)
+	}
+}
+
+// TestWritePastEndZeroFillsGap: a write past the end of a file leaves the
+// skipped bytes reading zero, also when the buffer it grows into held
+// older contents: a file truncated by "w" or a recycled one.
+func TestWritePastEndZeroFillsGap(t *testing.T) {
+	fs := New()
+	fs.WriteFile("/f", []byte("abcdef"))
+	fd, _ := fs.Open("/f", "w")
+	if _, err := fs.Seek(fd, 3, SeekSet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Write(fd, []byte("Z")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := fs.ReadFile("/f"); string(got) != "\x00\x00\x00Z" {
+		t.Fatalf("truncated file reads %q, want %q", got, "\x00\x00\x00Z")
+	}
+
+	fs = New()
+	cl := fs.Clone()
+	w, _ := cl.Open("/out", "w")
+	_, _ = cl.Write(w, []byte("stale bytes"))
+	cl.Release()
+	cl = fs.Clone()
+	w, _ = cl.Open("/out", "w")
+	_, _ = cl.Seek(w, 2, SeekSet)
+	_, _ = cl.Write(w, []byte("xy"))
+	if got, _ := cl.ReadFile("/out"); string(got) != "\x00\x00xy" {
+		t.Fatalf("recycled file reads %q, want %q", got, "\x00\x00xy")
+	}
+}
+
 func TestSnapshot(t *testing.T) {
 	fs := New()
 	fs.WriteFile("/a", []byte("1"))

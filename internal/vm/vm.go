@@ -56,8 +56,9 @@ type Options struct {
 	// TraceEdges enables path-sensitive edge tracing (control-flow
 	// equivalence checks, §6.1.4). Costs time; off during fuzzing.
 	TraceEdges bool
-	// Injector arms deterministic fault injection in the heap and the
-	// filesystem (resilience tests); nil injects nothing.
+	// Injector arms deterministic fault injection in the heap, the
+	// filesystem and the restore steps of a harness over this VM or its
+	// forks (resilience tests); nil injects nothing.
 	Injector *faultinject.Injector
 	// Sanitize attaches the ASan-style shadow plane to the heap so
 	// OpSanCheck instructions (SanitizerPass) classify bad accesses with
@@ -415,32 +416,39 @@ func (v *VM) WatchSection(name string) bool {
 	return true
 }
 
-// RestoreSectionDirty writes back only the bytes of the named section that
-// fall on pages dirtied since the last watch reset — the ClosureX
-// incremental restore fast path. It requires WatchSection to have been
-// armed over the section; the returned byte count is the data actually
-// copied (the paper's restore-bandwidth metric). The watch window is reset
-// afterwards so the next execution starts with a clean dirty set.
-func (v *VM) RestoreSectionDirty(name string, data []byte) (int, bool) {
+// RestoreSectionDirty writes data back over the bytes of the named section
+// that lie both inside scope, a list of section-relative ranges, and on a
+// page dirtied since the last watch reset: the harness's global-restore
+// step. The harness passes the single range {0, len(data)} to restore the
+// whole section, or the elision ranges to restore only what the target
+// may write; an empty scope restores nothing. Every range must lie inside
+// the section. It requires WatchSection to have been armed over the
+// section; the returned byte count is the data actually copied (the
+// paper's restore-bandwidth metric). The watch window is reset afterwards
+// so the next execution starts with a clean dirty set.
+func (v *VM) RestoreSectionDirty(name string, data []byte, scope []ByteRange) (int, bool) {
 	s, ok := v.Layout.Section(name)
 	if !ok || uint64(len(data)) != s.Size {
 		return 0, false
 	}
 	copied := 0
 	for _, pn := range v.Mem.WatchedDirty() {
-		lo := pn << mem.PageShift
-		hi := lo + mem.PageSize
-		if lo < s.Addr {
-			lo = s.Addr
+		plo := pn << mem.PageShift
+		phi := plo + mem.PageSize
+		for _, r := range scope {
+			lo, hi := s.Addr+r.Lo, s.Addr+r.Hi
+			if lo < plo {
+				lo = plo
+			}
+			if hi > phi {
+				hi = phi
+			}
+			if lo >= hi {
+				continue
+			}
+			_ = v.Mem.Write(lo, data[lo-s.Addr:hi-s.Addr])
+			copied += int(hi - lo)
 		}
-		if end := s.Addr + s.Size; hi > end {
-			hi = end
-		}
-		if lo >= hi {
-			continue
-		}
-		_ = v.Mem.Write(lo, data[lo-s.Addr:hi-s.Addr])
-		copied += int(hi - lo)
 	}
 	v.Mem.ResetWatch()
 	return copied, true
@@ -498,61 +506,6 @@ func (v *VM) ElisionRanges(name string) ([]ByteRange, bool) {
 		out = append(out, ByteRange{lo, hi})
 	}
 	return out, true
-}
-
-// RestoreSectionRanges writes data back over only the listed
-// section-relative ranges — the elision-scoped variant of RestoreSection.
-// data must still be a full-section snapshot (ranges index into it).
-// Returns the bytes actually copied.
-func (v *VM) RestoreSectionRanges(name string, data []byte, ranges []ByteRange) (int, bool) {
-	s, ok := v.Layout.Section(name)
-	if !ok || uint64(len(data)) != s.Size {
-		return 0, false
-	}
-	copied := 0
-	for _, r := range ranges {
-		if r.Lo >= r.Hi || r.Hi > s.Size {
-			continue
-		}
-		_ = v.Mem.Write(s.Addr+r.Lo, data[r.Lo:r.Hi])
-		copied += int(r.Hi - r.Lo)
-	}
-	return copied, true
-}
-
-// RestoreSectionDirtyRanges is the doubly-scoped restore: only bytes that
-// are both inside a may-write range and on a page dirtied since the last
-// watch reset are written back. Requires WatchSection to have been armed;
-// the watch window is reset afterwards.
-func (v *VM) RestoreSectionDirtyRanges(name string, data []byte, ranges []ByteRange) (int, bool) {
-	s, ok := v.Layout.Section(name)
-	if !ok || uint64(len(data)) != s.Size {
-		return 0, false
-	}
-	copied := 0
-	for _, pn := range v.Mem.WatchedDirty() {
-		plo := pn << mem.PageShift
-		phi := plo + mem.PageSize
-		if end := s.Addr + s.Size; phi > end {
-			phi = end
-		}
-		for _, r := range ranges {
-			lo, hi := s.Addr+r.Lo, s.Addr+r.Hi
-			if lo < plo {
-				lo = plo
-			}
-			if hi > phi {
-				hi = phi
-			}
-			if lo >= hi {
-				continue
-			}
-			_ = v.Mem.Write(lo, data[lo-s.Addr:hi-s.Addr])
-			copied += int(hi - lo)
-		}
-	}
-	v.Mem.ResetWatch()
-	return copied, true
 }
 
 // ReadCString reads a NUL-terminated string from target memory (bounded).
