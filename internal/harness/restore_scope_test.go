@@ -109,3 +109,62 @@ func TestRestoreFaultLeavesDirtySetForRetry(t *testing.T) {
 		t.Fatalf("watchdog rejected the repaired image: %v", err)
 	}
 }
+
+// fullCopyHarness is the reference the dirty-page restore is held to: a
+// harness that leaves the section alone, after whose every run the test
+// writes the whole init snapshot back over the closure section.
+func fullCopyHarness(t *testing.T) (*Harness, []byte) {
+	t.Helper()
+	opts := FullRestore()
+	opts.RestoreGlobals = false
+	h := newHarness(t, statefulSrc, opts)
+	init, _ := h.VM().SnapshotSection(ir.SectionClosure)
+	return h, init
+}
+
+func TestIncrementalRestoreMatchesFullCopy(t *testing.T) {
+	hFull, init := fullCopyHarness(t)
+	hIncr := newHarness(t, statefulSrc, FullRestore())
+
+	inputs := [][]byte{[]byte("a"), []byte("X"), []byte("zz"), {0}, []byte("qqq")}
+	for i := 0; i < 50; i++ {
+		in := inputs[i%len(inputs)]
+		rf := hFull.RunOne(in)
+		if !hFull.VM().RestoreSection(ir.SectionClosure, init) {
+			t.Fatal("full section copy refused")
+		}
+		ri := hIncr.RunOne(in)
+		if (rf.Fault == nil) != (ri.Fault == nil) || rf.Ret != ri.Ret || rf.ExitCode != ri.ExitCode {
+			t.Fatalf("run %d diverged: full=(%v,%v,%v) incr=(%v,%v,%v)",
+				i, rf.Ret, rf.ExitCode, rf.Fault, ri.Ret, ri.ExitCode, ri.Fault)
+		}
+		sf, _ := hFull.VM().SnapshotSection(ir.SectionClosure)
+		si, _ := hIncr.VM().SnapshotSection(ir.SectionClosure)
+		if !bytes.Equal(sf, si) {
+			t.Fatalf("run %d: post-restore sections differ in %d bytes", i, diffBytes(sf, si))
+		}
+	}
+	if err := hIncr.Verify(); err != nil {
+		t.Fatalf("watchdog rejected the incrementally restored image: %v", err)
+	}
+}
+
+func TestIncrementalRestoreCopiesFewerBytes(t *testing.T) {
+	h := newHarness(t, statefulSrc, FullRestore())
+
+	const n = 20
+	for i := 0; i < n; i++ {
+		h.RunOne([]byte("a"))
+	}
+	// statefulSrc touches a handful of globals per run; dirty-page copy-back
+	// must not exceed the n whole-section copies a full restore would make,
+	// and must copy something, or the restore is not running at all.
+	got := h.Stats().GlobalBytes
+	full := int64(n * h.GlobalSnapshotSize())
+	if got == 0 {
+		t.Fatal("no restore copied a byte")
+	}
+	if got > full {
+		t.Fatalf("dirty-page restore copied %d bytes, %d full copies %d", got, n, full)
+	}
+}
